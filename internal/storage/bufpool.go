@@ -5,21 +5,25 @@ import (
 	"sync"
 )
 
-// chunkBufPool recycles transfer-sized scratch buffers — one chunk
-// plus a byte, so an oversized body is detectable without growing —
-// for the front-end request reader and the client download path.
-// Steady-state transfer then allocates only the bytes that outlive
-// the request: the stored copy on the server and the assembled file
-// on the client.
-var chunkBufPool = sync.Pool{
+// frameBufPool recycles transfer-sized scratch buffers laid out as one
+// record: a recHeaderSize header slot, then room for one chunk plus a
+// byte, so an oversized body is detectable without growing. The
+// front-end reads a chunk into the payload slot and seals or copies
+// its header in front, which leaves a record DiskStore can append
+// verbatim; the download paths use the payload slot alone. Steady-state
+// transfer then allocates only the bytes that outlive the request.
+var frameBufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, ChunkSize+1)
+		b := make([]byte, recHeaderSize+ChunkSize+1)
 		return &b
 	},
 }
 
-func getChunkBuf() *[]byte  { return chunkBufPool.Get().(*[]byte) }
-func putChunkBuf(b *[]byte) { chunkBufPool.Put(b) }
+func getFrameBuf() *[]byte  { return frameBufPool.Get().(*[]byte) }
+func putFrameBuf(b *[]byte) { frameBufPool.Put(b) }
+
+// payloadSlot is the chunk-plus-a-byte region of a frame buffer.
+func payloadSlot(b *[]byte) []byte { return (*b)[recHeaderSize:] }
 
 // readBody fills buf from r until EOF and returns the number of bytes
 // read. It reports overflow (the body did not fit in buf) instead of

@@ -43,12 +43,14 @@ func multiHas(s ChunkStore, sums []Sum) []bool {
 	return out
 }
 
-// CtxStore is an optional ChunkStore extension for stores whose
-// operations are worth tracing: the context carries the request's
-// span (see internal/tracing) and the store records child spans for
-// the time it spends — replication fan-out, segment appends, fsync
-// waits, reads. Stores with nanosecond-scale operations (MemStore)
-// skip it; a span would cost more than the work it measures.
+// CtxStore is an optional ChunkStore extension for context-aware
+// stores. The context carries the request's span (see
+// internal/tracing), and stores worth tracing record child spans for
+// the time they spend — replication fan-out, segment appends, fsync
+// waits, reads; stores with nanosecond-scale operations (MemStore)
+// record none, as a span would cost more than the work it measures.
+// On PutCtx the context may also carry the chunk's verified record
+// (see verified.go), which spares a verifying store its own check.
 type CtxStore interface {
 	// PutCtx is Put under the context's trace.
 	PutCtx(ctx context.Context, sum Sum, data []byte) error
@@ -167,8 +169,14 @@ func (m *MemStore) shard(sum Sum) *memShard {
 
 // Put implements ChunkStore. The data slice is copied.
 func (m *MemStore) Put(sum Sum, data []byte) error {
-	if SumBytes(data) != sum {
-		return errBadDigest
+	return m.PutCtx(context.Background(), sum, data)
+}
+
+// PutCtx implements CtxStore: a payload the context vouches for skips
+// the digest check.
+func (m *MemStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
+	if err := checkPut(ctx, sum, data); err != nil {
+		return err
 	}
 	m.puts.Add(1)
 	m.bytesStored.Add(int64(len(data)))
@@ -199,6 +207,9 @@ func (m *MemStore) Get(sum Sum) ([]byte, error) {
 	}
 	return data, nil
 }
+
+// GetCtx implements CtxStore.
+func (m *MemStore) GetCtx(_ context.Context, sum Sum) ([]byte, error) { return m.Get(sum) }
 
 // GetReaderCtx implements ReaderStore: the reader wraps the resident
 // slice without copying — chunk payloads are content-immutable, so

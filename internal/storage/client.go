@@ -1375,14 +1375,14 @@ func (c *Client) getChunk(frontend string, sum Sum, budget *retryBudget, dst []b
 			if resp.StatusCode != http.StatusOK {
 				return decodeError(resp)
 			}
-			scratch := getChunkBuf()
-			defer putChunkBuf(scratch)
-			n, overflow, err := readBody(resp.Body, *scratch)
+			scratch := getFrameBuf()
+			defer putFrameBuf(scratch)
+			n, overflow, err := readBody(resp.Body, payloadSlot(scratch))
 			if err != nil {
 				c.Metrics.refetch()
 				return &corruptError{err: err}
 			}
-			data := (*scratch)[:n]
+			data := payloadSlot(scratch)[:n]
 			if overflow || SumBytes(data) != sum {
 				c.Metrics.refetch()
 				return &corruptError{err: fmt.Errorf("chunk digest mismatch (%d bytes)", n)}

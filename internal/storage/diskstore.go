@@ -362,24 +362,23 @@ func maxLSN(v *atomic.Int64, lsn int64) {
 	}
 }
 
-// appendLocked writes one record to the active segment, rotating
-// first if it is full, and returns the record's location and the LSN
-// an fsync must cover for it to be durable (caller holds mu).
-func (ds *DiskStore) appendLocked(sum Sum, length uint32, payload []byte) (recLoc, int64, error) {
+// appendLocked writes one complete record — header and payload, as
+// the caller sealed or verified it — to the active segment in one
+// pwrite, rotating first if the segment is full, and returns the
+// record's location and the LSN an fsync must cover for it to be
+// durable (caller holds mu).
+func (ds *DiskStore) appendLocked(rec []byte) (recLoc, int64, error) {
 	if ds.active.size >= ds.opts.SegmentSize {
 		if err := ds.sealActiveLocked(); err != nil {
 			return recLoc{}, 0, err
 		}
 	}
 	seg := ds.active
-	rs := recordSize(length)
-	buf := make([]byte, rs)
-	encodeHeader(buf[:recHeaderSize], sum, length, payload)
-	copy(buf[recHeaderSize:], payload)
-	if _, err := seg.f.WriteAt(buf, seg.size); err != nil {
+	if _, err := seg.f.WriteAt(rec, seg.size); err != nil {
 		return recLoc{}, 0, err
 	}
-	loc := recLoc{seg: seg.id, off: seg.size, n: length}
+	loc := recLoc{seg: seg.id, off: seg.size, n: binary.LittleEndian.Uint32(rec[16:20])}
+	rs := int64(len(rec))
 	seg.size += rs
 	return loc, ds.appendLSN.Add(rs), nil
 }
@@ -424,42 +423,85 @@ func (ds *DiskStore) Put(sum Sum, data []byte) error {
 // fsync wait are separate spans, so a slow write shows whether the
 // time went to lock contention / segment I/O or to riding someone
 // else's fsync group.
+//
+// When ctx carries the verified record of exactly (sum, data) — the
+// front-end checked the chunk at this node's boundary — that record
+// is appended as it is: no second MD5, no CRC recompute, no staging
+// copy. Any other call is checked here (one MD5 pass) and, unless the
+// chunk is stored already, staged into a pooled record buffer for the
+// append.
 func (ds *DiskStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
-	if SumBytes(data) != sum {
-		return errBadDigest
+	rec := verifiedRecord(ctx, sum, data)
+	if rec == nil {
+		if len(data) > ChunkSize {
+			return fmt.Errorf("%w: chunk exceeds %d bytes", ErrTooLarge, ChunkSize)
+		}
+		if SumBytes(data) != sum {
+			return errBadDigest
+		}
 	}
 	ds.puts.Add(1)
 	ds.bytesStored.Add(int64(len(data)))
 
 	app := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskAppend)
-	ds.mu.Lock()
-	if ds.closed {
-		ds.mu.Unlock()
-		app.End()
-		return fmt.Errorf("storage: diskstore: closed")
+	var stage *[]byte
+	if rec == nil {
+		// Repair and rebalance re-put chunks a node often holds
+		// already: look before paying for the staging copy and CRC.
+		ds.mu.RLock()
+		_, dup := ds.index[sum]
+		dup = dup && !ds.closed
+		ds.mu.RUnlock()
+		if dup {
+			app.End()
+			ds.dedupHits.Add(1)
+			return nil
+		}
+		stage = getFrameBuf()
+		rec = (*stage)[:recHeaderSize+len(data)]
+		copy(rec[recHeaderSize:], data)
+		encodeHeader(rec[:recHeaderSize], sum, uint32(len(data)), data)
 	}
-	if _, ok := ds.index[sum]; ok {
-		ds.mu.Unlock()
-		app.End()
-		ds.dedupHits.Add(1)
-		return nil
+	lsn, dup, err := ds.appendNew(sum, rec)
+	if stage != nil {
+		putFrameBuf(stage)
 	}
-	loc, lsn, err := ds.appendLocked(sum, uint32(len(data)), data)
 	if err != nil {
-		ds.mu.Unlock()
 		app.EndErr(err)
 		return err
 	}
-	ds.index[sum] = loc
-	ds.segs[loc.seg].live += recordSize(loc.n)
-	ds.dataBytes += int64(len(data))
-	ds.mu.Unlock()
 	app.End()
+	if dup {
+		ds.dedupHits.Add(1)
+		return nil
+	}
 
 	fs := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskFsync)
 	err = ds.syncTo(lsn)
 	fs.EndErr(err)
 	return err
+}
+
+// appendNew appends rec, sum's record, unless sum is stored already
+// (dup), and indexes it. It returns the LSN an fsync must cover for
+// the record to be durable.
+func (ds *DiskStore) appendNew(sum Sum, rec []byte) (lsn int64, dup bool, err error) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if ds.closed {
+		return 0, false, fmt.Errorf("storage: diskstore: closed")
+	}
+	if _, ok := ds.index[sum]; ok {
+		return 0, true, nil
+	}
+	loc, lsn, err := ds.appendLocked(rec)
+	if err != nil {
+		return 0, false, err
+	}
+	ds.index[sum] = loc
+	ds.segs[loc.seg].live += recordSize(loc.n)
+	ds.dataBytes += int64(loc.n)
+	return lsn, false, nil
 }
 
 // Get implements ChunkStore, verifying the record checksum on the way
@@ -473,6 +515,16 @@ func (ds *DiskStore) GetCtx(ctx context.Context, sum Sum) (_ []byte, err error) 
 	if sp := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskRead); sp != nil {
 		defer func() { sp.EndErr(err) }()
 	}
+	rec, err := ds.readRecord(sum)
+	if err != nil {
+		return nil, err
+	}
+	return rec[recHeaderSize:], nil
+}
+
+// readRecord reads sum's whole record into a new buffer and checks its
+// CRC, so on-disk corruption is surfaced rather than served.
+func (ds *DiskStore) readRecord(sum Sum) ([]byte, error) {
 	ds.mu.RLock()
 	loc, ok := ds.index[sum]
 	if !ok {
@@ -493,7 +545,7 @@ func (ds *DiskStore) GetCtx(ctx context.Context, sum Sum) (_ []byte, err error) 
 	if binary.LittleEndian.Uint32(buf[20:24]) != crc {
 		return nil, fmt.Errorf("storage: diskstore: on-disk corruption for %s", sum)
 	}
-	return buf[recHeaderSize:], nil
+	return buf, nil
 }
 
 // GetReaderCtx implements ReaderStore: it returns a streaming view
@@ -583,7 +635,9 @@ func (ds *DiskStore) Delete(sum Sum) error {
 		ds.mu.Unlock()
 		return ErrNotFound
 	}
-	_, lsn, err := ds.appendLocked(sum, tombstoneLen, nil)
+	var tomb [recHeaderSize]byte
+	encodeHeader(tomb[:], sum, tombstoneLen, nil)
+	_, lsn, err := ds.appendLocked(tomb[:])
 	if err != nil {
 		ds.mu.Unlock()
 		return err
@@ -659,7 +713,7 @@ func (ds *DiskStore) compactSegment(id uint32) error {
 
 	var maxLSNCopied int64
 	for _, r := range live {
-		data, err := ds.Get(r.sum)
+		rec, err := ds.readRecord(r.sum)
 		if err != nil {
 			if err == ErrNotFound {
 				continue // deleted since the snapshot
@@ -672,7 +726,7 @@ func (ds *DiskStore) compactSegment(id uint32) error {
 			ds.mu.Unlock() // deleted or already moved; nothing to do
 			continue
 		}
-		loc, lsn, err := ds.appendLocked(r.sum, uint32(len(data)), data)
+		loc, lsn, err := ds.appendLocked(rec)
 		if err != nil {
 			ds.mu.Unlock()
 			return err

@@ -536,20 +536,15 @@ func (f *FrontEnd) handleChunk(w http.ResponseWriter, r *http.Request) {
 func (f *FrontEnd) handleReplicaChunk(w http.ResponseWriter, r *http.Request, sum Sum) {
 	switch r.Method {
 	case http.MethodPut:
-		scratch := getChunkBuf()
-		defer putChunkBuf(scratch)
-		n, overflow, err := readBody(r.Body, *scratch)
+		scratch := getFrameBuf()
+		defer putFrameBuf(scratch)
+		rec, code, err := readChunkRecord(r.Body, scratch, sum)
 		if err != nil {
-			writeAPIError(w, r, http.StatusBadRequest, err)
+			writeAPIError(w, r, code, err)
 			return
 		}
-		data := (*scratch)[:n]
-		if overflow || len(data) > ChunkSize {
-			writeAPIError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("%w: chunk exceeds %d bytes", ErrTooLarge, ChunkSize))
-			return
-		}
-		if err := PutCtx(r.Context(), f.local, sum, data); err != nil {
+		ctx := withVerifiedRecord(r.Context(), rec)
+		if err := PutCtx(ctx, f.local, sum, rec[recHeaderSize:]); err != nil {
 			writeAPIError(w, r, http.StatusBadRequest, err)
 			return
 		}
@@ -614,23 +609,39 @@ func (f *FrontEnd) handleClusterChunks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, chunks)
 }
 
-func (f *FrontEnd) putChunk(w http.ResponseWriter, r *http.Request, sum Sum, started time.Time) {
-	// The body lands in a pooled chunk-sized buffer: the store copies
-	// what it keeps, so the hot upload path allocates only that copy.
-	scratch := getChunkBuf()
-	defer putChunkBuf(scratch)
-	n, overflow, err := readBody(r.Body, *scratch)
+// readChunkRecord is the boundary check of a raw chunk body (a JSON
+// chunk PUT, client or replica): it reads the body into the payload
+// slot of buf, a pooled frame buffer, checks its MD5 against sum and
+// seals the header in front. The result is the chunk's verified
+// record; on failure it returns the HTTP status to answer with.
+func readChunkRecord(body io.Reader, buf *[]byte, sum Sum) ([]byte, int, error) {
+	n, overflow, err := readBody(body, payloadSlot(buf))
 	if err != nil {
-		f.fail(w, r, http.StatusBadRequest, err, trace.ChunkStore)
+		return nil, http.StatusBadRequest, err
+	}
+	if overflow || n > ChunkSize {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("%w: chunk exceeds %d bytes", ErrTooLarge, ChunkSize)
+	}
+	rec, err := sealRecord(*buf, sum, n)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return rec, 0, nil
+}
+
+func (f *FrontEnd) putChunk(w http.ResponseWriter, r *http.Request, sum Sum, started time.Time) {
+	// The body lands in a pooled frame buffer and is checked there
+	// once; the store appends or copies the verified record, so the
+	// hot upload path allocates at most the copy a store keeps.
+	scratch := getFrameBuf()
+	defer putFrameBuf(scratch)
+	rec, code, err := readChunkRecord(r.Body, scratch, sum)
+	if err != nil {
+		f.fail(w, r, code, err, trace.ChunkStore)
 		return
 	}
-	data := (*scratch)[:n]
-	if overflow || len(data) > ChunkSize {
-		f.fail(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%w: chunk exceeds %d bytes", ErrTooLarge, ChunkSize), trace.ChunkStore)
-		return
-	}
-	if err := PutCtx(r.Context(), f.store, sum, data); err != nil {
+	data := rec[recHeaderSize:]
+	if err := PutCtx(withVerifiedRecord(r.Context(), rec), f.store, sum, data); err != nil {
 		code := http.StatusBadRequest
 		if IsUnavailable(err) {
 			code = http.StatusServiceUnavailable
@@ -811,6 +822,13 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
+		// Per-chunk Table 1 logs with additive elapsed shares, so the
+		// batch accounts for the same wall time as n single requests.
+		// Each chunk is logged before its frame is written (as getChunk
+		// logs before it streams), so a client that has read the whole
+		// response always finds every chunk counted.
+		f.record(r, trace.ChunkRetrieve, rd.Size(), prev, tsrvs[i])
+		prev = f.cfg.Now()
 		var werr error
 		if fr, _, ok := rd.Frame(); ok {
 			buf := getCopyBuf()
@@ -824,7 +842,6 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 				_, _, werr = rd.StreamTo(w)
 			}
 		}
-		size := rd.Size()
 		rd.Close()
 		readers[i] = nil
 		if werr != nil {
@@ -832,10 +849,6 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 			tracing.FromContext(r.Context()).Annotate("write_err", werr.Error())
 			return
 		}
-		// Per-chunk Table 1 logs with additive elapsed shares, so the
-		// batch accounts for the same wall time as n single requests.
-		f.record(r, trace.ChunkRetrieve, size, prev, tsrvs[i])
-		prev = f.cfg.Now()
 	}
 }
 
@@ -863,13 +876,13 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 	if replica {
 		store = f.local
 	}
-	scratch := getChunkBuf()
-	defer putChunkBuf(scratch)
+	scratch := getFrameBuf()
+	defer putFrameBuf(scratch)
 	sums := make([]Sum, 0, count)
 	tsrvs := f.upstreamBatch(count)
 	prev := started
 	for i := 0; i < count; i++ {
-		fr, err := readBinFrame(r.Body, *scratch)
+		fr, err := readBinFrame(r.Body, payloadSlot(scratch))
 		if err != nil {
 			f.fail(w, r, binErrStatus(err), err, trace.ChunkStore)
 			return
@@ -883,7 +896,12 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("%w: frame payload hashes to %s, header says %s", ErrBadDigest, fr.got, fr.sum), trace.ChunkStore)
 			return
 		}
-		if err := PutCtx(r.Context(), store, fr.sum, fr.payload); err != nil {
+		// The frame passed CRC and MD5 on the way in: put its header
+		// back in front of the payload and the pair is the verified
+		// record the store appends as it is.
+		rec := (*scratch)[:recHeaderSize+len(fr.payload)]
+		copy(rec, fr.hdr[:])
+		if err := PutCtx(withVerifiedRecord(r.Context(), rec), store, fr.sum, fr.payload); err != nil {
 			code := http.StatusBadRequest
 			if IsUnavailable(err) {
 				code = http.StatusServiceUnavailable

@@ -64,6 +64,7 @@ var md5Pool = sync.Pool{New: func() any { return md5.New() }}
 // binFrame is one decoded frame. payload aliases the scratch buffer
 // handed to readBinFrame, valid until the buffer's next use.
 type binFrame struct {
+	hdr      [recHeaderSize]byte // the frame header as received, CRC checked
 	sum      Sum
 	payload  []byte
 	got      Sum // MD5 of payload, computed during the streaming read
@@ -79,8 +80,8 @@ type binFrame struct {
 // refuses the bytes.
 func readBinFrame(r io.Reader, buf []byte) (binFrame, error) {
 	var f binFrame
-	var hdr [recHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := f.hdr[:]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return f, fmt.Errorf("storage: mcsbin: truncated frame header: %w", io.ErrUnexpectedEOF)
 	}
 	copy(f.sum[:], hdr[:16])
@@ -128,14 +129,6 @@ func appendBinCount(dst []byte, n int) []byte {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], uint32(n))
 	return append(dst, b[:]...)
-}
-
-// appendBinFrame appends one data frame.
-func appendBinFrame(dst []byte, sum Sum, payload []byte) []byte {
-	var hdr [recHeaderSize]byte
-	encodeHeader(hdr[:], sum, uint32(len(payload)), payload)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
 }
 
 // appendBinNotFound appends a not-found frame for sum.
@@ -205,11 +198,26 @@ func binGetOneReq(node string, sum Sum) (*http.Request, error) {
 	return req, nil
 }
 
-// binPutOneReq builds a single-chunk binary PUT request against node.
-func binPutOneReq(node string, sum Sum, data []byte) (*http.Request, error) {
-	body := make([]byte, 4, 4+recHeaderSize+len(data))
+// binPutBody lays one chunk out as a complete single-frame
+// /v1/bin/put body in one new buffer: count | sum | len | crc32 |
+// payload. rec, when non-nil, is the chunk's verified record and is
+// copied as is; otherwise the header is encoded (one CRC pass). Either
+// way body[4:] is a record of the chunk.
+func binPutBody(sum Sum, data, rec []byte) []byte {
+	body := make([]byte, 4+recHeaderSize+len(data))
 	binary.LittleEndian.PutUint32(body, 1)
-	body = appendBinFrame(body, sum, data)
+	if rec != nil {
+		copy(body[4:], rec)
+		return body
+	}
+	encodeHeader(body[4:4+recHeaderSize], sum, uint32(len(data)), data)
+	copy(body[4+recHeaderSize:], data)
+	return body
+}
+
+// binPutOneReq builds a single-chunk binary PUT request against node
+// from a binPutBody.
+func binPutOneReq(node string, body []byte) (*http.Request, error) {
 	req, err := http.NewRequest(http.MethodPost, node+"/v1/bin/put", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -228,9 +236,9 @@ func binReadOneFrame(resp *http.Response, sum Sum) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeError(resp)
 	}
-	scratch := getChunkBuf()
-	defer putChunkBuf(scratch)
-	f, err := readBinFrame(resp.Body, *scratch)
+	scratch := getFrameBuf()
+	defer putFrameBuf(scratch)
+	f, err := readBinFrame(resp.Body, payloadSlot(scratch))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -19,7 +20,7 @@ import (
 func TestBinFrameRoundTrip(t *testing.T) {
 	data := testChunk(91, 3)
 	sum := SumBytes(data)
-	frame := appendBinFrame(nil, sum, data)
+	frame := binFrameOf(sum, data)
 	buf := make([]byte, ChunkSize)
 
 	f, err := readBinFrame(bytes.NewReader(frame), buf)
@@ -52,7 +53,7 @@ func TestBinFrameRoundTrip(t *testing.T) {
 func TestBinFrameFailsClosed(t *testing.T) {
 	data := testChunk(92, 1)
 	sum := SumBytes(data)
-	frame := appendBinFrame(nil, sum, data)
+	frame := binFrameOf(sum, data)
 	buf := make([]byte, ChunkSize)
 
 	if _, err := readBinFrame(bytes.NewReader(frame[:10]), buf); !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -91,21 +92,29 @@ func TestBinFrameFailsClosed(t *testing.T) {
 // FuzzBinFrame feeds arbitrary bytes to the frame decoder: it must
 // never panic, and any frame it does accept must be internally
 // consistent (CRC passed during the read, MD5 recomputed over the
-// payload).
+// payload). Every accepted frame then takes the bin PUT path: one
+// whose MD5 matches its header is appended verbatim as a verified
+// record and must read back intact, as payload and as the very frame;
+// any other must be refused by the store's own check.
 func FuzzBinFrame(f *testing.F) {
+	ds, err := OpenDiskStore(f.TempDir(), DiskStoreOptions{NoSync: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { ds.Close() })
 	data := testChunk(93, 2)
 	if len(data) > 300 {
 		data = data[:300]
 	}
 	sum := SumBytes(data)
-	f.Add(appendBinFrame(nil, sum, data))
+	f.Add(binFrameOf(sum, data))
 	f.Add(binNotFoundFrame(sum))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, recHeaderSize))
 	f.Add(bytes.Repeat([]byte{0x00}, recHeaderSize+64))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		buf := make([]byte, 4096)
-		fr, err := readBinFrame(bytes.NewReader(b), buf)
+		buf := make([]byte, recHeaderSize+4096)
+		fr, err := readBinFrame(bytes.NewReader(b), buf[recHeaderSize:])
 		if err != nil {
 			return // fail-closed: malformed input errors, never panics
 		}
@@ -114,6 +123,34 @@ func FuzzBinFrame(f *testing.F) {
 		}
 		if SumBytes(fr.payload) != fr.got {
 			t.Fatalf("accepted frame has inconsistent MD5: %s vs %s", SumBytes(fr.payload), fr.got)
+		}
+		if fr.got != fr.sum {
+			if err := ds.Put(fr.sum, fr.payload); err != errBadDigest {
+				t.Fatalf("payload not matching its header digest: Put err = %v", err)
+			}
+			return
+		}
+		rec := buf[:recHeaderSize+len(fr.payload)]
+		copy(rec, fr.hdr[:])
+		if err := ds.PutCtx(withVerifiedRecord(context.Background(), rec), fr.sum, fr.payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ds.Get(fr.sum)
+		if err != nil || !bytes.Equal(got, fr.payload) {
+			t.Fatalf("verbatim record reads back wrong: %v", err)
+		}
+		rd, err := ds.GetReaderCtx(context.Background(), fr.sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		frame, size, _ := rd.Frame()
+		stored := make([]byte, size)
+		if _, err := io.ReadFull(frame, stored); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stored, rec) {
+			t.Fatal("stored record differs from the accepted frame")
 		}
 	})
 }

@@ -357,7 +357,7 @@ func (rb *Rebalancer) putTo(node string, sum Sum, data []byte) error {
 	var req *http.Request
 	var err error
 	if rb.binNode(node) {
-		req, err = binPutOneReq(node, sum, data)
+		req, err = binPutOneReq(node, binPutBody(sum, data, nil))
 		if err == nil {
 			req.Header.Set(APIHeader, APIV1)
 			req.Header.Set(ReplicaHeader, "1")

@@ -202,11 +202,17 @@ func (rs *ReplicatedStore) PutCtx(ctx context.Context, sum Sum, data []byte) (er
 	defer func() { fanout.EndErr(err) }()
 	ctx = tracing.NewContext(ctx, fanout)
 
-	// Copy the payload: the caller may recycle its (pooled) buffer as
-	// soon as we return, but straggler replica sends — and the
-	// background drain after a quorum ack — keep reading it.
-	buf := make([]byte, len(data))
-	copy(buf, data)
+	// Copy the chunk once, laid out as a single-frame mcsbin PUT body:
+	// the caller may recycle its (pooled) buffer as soon as we return,
+	// but straggler replica sends — and the background drain after a
+	// quorum ack — keep reading it. A verified record is copied as it
+	// is, so the copy is verified too: the local write appends it
+	// verbatim and remote owners receive it without a re-encode.
+	rec := verifiedRecord(ctx, sum, data)
+	body := binPutBody(sum, data, rec)
+	if rec != nil {
+		ctx = withVerifiedRecord(ctx, body[4:])
+	}
 
 	start := time.Now()
 	type result struct {
@@ -215,7 +221,7 @@ func (rs *ReplicatedStore) PutCtx(ctx context.Context, sum Sum, data []byte) (er
 	}
 	results := make(chan result, len(owners))
 	for _, o := range owners {
-		go func(o string) { results <- result{o, rs.putReplica(ctx, o, sum, buf)} }(o)
+		go func(o string) { results <- result{o, rs.putReplica(ctx, o, sum, body[4+recHeaderSize:], body)} }(o)
 	}
 
 	needed := rs.w
@@ -491,7 +497,7 @@ func (rs *ReplicatedStore) RepairNow() int {
 			if node == rs.self {
 				err = rs.local.Put(sum, data)
 			} else {
-				err = rs.putReplica(context.Background(), node, sum, data)
+				err = rs.putReplica(context.Background(), node, sum, data, nil)
 			}
 			if err == nil {
 				rs.dropMissing(sum, node)
@@ -592,11 +598,13 @@ func (rs *ReplicatedStore) binPeer(node string) bool {
 	return ok
 }
 
-// putReplica writes one chunk to one owner. The local owner writes
-// through the context (disk spans land under the fan-out barrier);
-// a remote owner gets a replica-put span whose ID rides the request
-// headers, so the remote handler span joins as its child.
-func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, sum Sum, data []byte) (err error) {
+// putReplica writes one chunk to one owner. body is data laid out as
+// a binPutBody (data its payload), or nil to build one only if the
+// owner takes mcsbin/1. The local owner writes through the context
+// (disk spans land under the fan-out barrier); a remote owner gets a
+// replica-put span whose ID rides the request headers, so the remote
+// handler span joins as its child.
+func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, sum Sum, data, body []byte) (err error) {
 	if node == rs.self {
 		return PutCtx(ctx, rs.local, sum, data)
 	}
@@ -606,7 +614,10 @@ func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, sum Sum,
 	var req *http.Request
 	if rs.binPeer(node) {
 		sp.Annotate("dialect", BinV1)
-		req, err = binPutOneReq(node, sum, data)
+		if body == nil {
+			body = binPutBody(sum, data, nil)
+		}
+		req, err = binPutOneReq(node, body)
 		if err == nil {
 			req.Header.Set(APIHeader, APIV1)
 			req.Header.Set(ReplicaHeader, "1")
@@ -672,13 +683,13 @@ func (rs *ReplicatedStore) getReplica(ctx context.Context, node string, sum Sum)
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeError(resp)
 	}
-	scratch := getChunkBuf()
-	defer putChunkBuf(scratch)
-	n, overflow, err := readBody(resp.Body, *scratch)
+	scratch := getFrameBuf()
+	defer putFrameBuf(scratch)
+	n, overflow, err := readBody(resp.Body, payloadSlot(scratch))
 	if err != nil {
 		return nil, err
 	}
-	data := (*scratch)[:n]
+	data := payloadSlot(scratch)[:n]
 	if overflow || SumBytes(data) != sum {
 		rs.health.ReportFailure(node)
 		return nil, fmt.Errorf("%w: replica %s returned corrupt bytes for %s", ErrBadDigest, node, sum)

@@ -40,7 +40,16 @@ type tierShard struct {
 	lastRead  map[Sum]time.Time
 	placedHot map[Sum]bool
 	sizes     map[Sum]int64
+	promoting map[Sum]*promotion // in-flight cold reads, one per digest
 	tstats    TierStats
+}
+
+// promotion is one in-flight cold read and promotion; readers of the
+// same digest wait on done and share its result.
+type promotion struct {
+	done chan struct{}
+	data []byte
+	err  error
 }
 
 // TierStats reports tiering behaviour and accumulated occupancy.
@@ -75,6 +84,7 @@ func NewTieredStore(hot, cold ChunkStore, coldAfter time.Duration, now func() ti
 		t.shards[i].lastRead = make(map[Sum]time.Time)
 		t.shards[i].placedHot = make(map[Sum]bool)
 		t.shards[i].sizes = make(map[Sum]int64)
+		t.shards[i].promoting = make(map[Sum]*promotion)
 	}
 	return t
 }
@@ -98,8 +108,8 @@ func (t *TieredStore) Put(sum Sum, data []byte) error {
 // PutCtx implements CtxStore, forwarding the trace context to the
 // backing tier (the tier bookkeeping itself is memory-speed).
 func (t *TieredStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
-	if SumBytes(data) != sum {
-		return errBadDigest
+	if err := checkPut(ctx, sum, data); err != nil {
+		return err
 	}
 	t.puts.Add(1)
 	t.bytesStored.Add(int64(len(data)))
@@ -149,36 +159,71 @@ func (t *TieredStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
 	}
 
 	if hot {
-		data, err := GetCtx(ctx, t.hot, sum)
-		if err == nil {
-			s.mu.Lock()
-			s.tstats.HotReads++
-			s.lastRead[sum] = t.now()
-			s.mu.Unlock()
-			return data, nil
-		}
+		data, err := t.readHot(ctx, s, sum)
 		if err != ErrNotFound {
-			return nil, err
+			return data, err
 		}
 		// A concurrent Migrate demoted the chunk between our placement
 		// check and the hot read; fall through to the cold tier.
 	}
+	return t.promote(ctx, s, sum)
+}
 
-	data, err := GetCtx(ctx, t.cold, sum)
+// readHot serves a read from the hot tier, refreshing the chunk's
+// read recency.
+func (t *TieredStore) readHot(ctx context.Context, s *tierShard, sum Sum) ([]byte, error) {
+	data, err := GetCtx(ctx, t.hot, sum)
 	if err != nil {
 		return nil, err
 	}
-	// Promote: the user is active on this content again.
-	if err := PutCtx(ctx, t.hot, sum, data); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
-	s.tstats.ColdReads++
-	s.tstats.Promotions++
-	s.placedHot[sum] = true
+	s.tstats.HotReads++
 	s.lastRead[sum] = t.now()
 	s.mu.Unlock()
 	return data, nil
+}
+
+// promote reads a cold-placed chunk and moves it back to the hot tier:
+// the user is active on this content again. Concurrent readers of one
+// digest share a single cold read and promotion, and a reader arriving
+// after the chunk is hot again reads the hot copy, so a chunk is
+// promoted at most once per demotion.
+func (t *TieredStore) promote(ctx context.Context, s *tierShard, sum Sum) ([]byte, error) {
+	s.mu.Lock()
+	if p, ok := s.promoting[sum]; ok {
+		s.mu.Unlock()
+		<-p.done
+		return p.data, p.err
+	}
+	if s.placedHot[sum] {
+		// Promoted by a reader that finished after our placement check.
+		s.mu.Unlock()
+		if data, err := t.readHot(ctx, s, sum); err != ErrNotFound {
+			return data, err
+		}
+		return GetCtx(ctx, t.cold, sum)
+	}
+	p := &promotion{done: make(chan struct{})}
+	s.promoting[sum] = p
+	s.mu.Unlock()
+
+	p.data, p.err = GetCtx(ctx, t.cold, sum)
+	if p.err == nil {
+		if p.err = PutCtx(ctx, t.hot, sum, p.data); p.err != nil {
+			p.data = nil
+		}
+	}
+	s.mu.Lock()
+	delete(s.promoting, sum)
+	if _, known := s.sizes[sum]; known && p.err == nil {
+		s.tstats.ColdReads++
+		s.tstats.Promotions++
+		s.placedHot[sum] = true
+		s.lastRead[sum] = t.now()
+	}
+	s.mu.Unlock()
+	close(p.done)
+	return p.data, p.err
 }
 
 // GetReaderCtx implements ReaderStore: a hot-placed chunk streams

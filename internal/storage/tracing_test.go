@@ -80,6 +80,10 @@ func TestTraceJoinsSingleNode(t *testing.T) {
 		t.Fatal("round trip mismatch")
 	}
 
+	// A handler's span ends when it returns, which can be after the
+	// client has read the last response byte; Close waits for every
+	// in-flight handler, so the snapshot sees each server span.
+	cleanup()
 	ex := tracing.Export{Node: tr.Node(), Spans: tr.Snapshot(tracing.Filter{})}
 	d := assertJoined(t, ex)
 	// A batched mcsbin/1 transfer decomposes as one diagnosis carrying
@@ -127,6 +131,10 @@ func TestTraceJoinsThroughLegacyNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A handler's span ends when it returns, which can be after the
+	// client has read the last response byte; Close waits for every
+	// in-flight handler, so the snapshot sees each server span.
+	cleanup()
 	ex := tracing.Export{Node: tr.Node(), Spans: tr.Snapshot(tracing.Filter{})}
 	d := assertJoined(t, ex)
 	// The fallback happens on the first metadata POST, not on chunk
