@@ -5,30 +5,26 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mcloud/internal/seglog"
 	"mcloud/internal/tracing"
 )
 
-// DiskStore is a durable ChunkStore built from append-only segment
-// files, modeling the paper's back-end storage servers: 512 KB
-// deduplicated chunks land behind the front-ends and must survive a
-// process crash (§2.1). Each record carries a sum|len|crc32 header so
-// the in-memory index can be rebuilt by scanning segments on open; a
-// torn final record — the only damage a crash can inflict, since
-// sealed segments are fsynced before rotation — is detected by the
-// checksum and truncated away.
+// DiskStore is a durable ChunkStore built on a segment log
+// (internal/seglog), modeling the paper's back-end storage servers:
+// 512 KB deduplicated chunks land behind the front-ends and must
+// survive a process crash (§2.1). Each record carries a sum|len|crc32
+// header so the in-memory index can be rebuilt by scanning segments on
+// open; a torn final record — the only damage a crash can inflict — is
+// detected by the checksum and truncated away by the log.
 //
 // Durability contract: when Put returns nil the record has been
-// written and covered by an fsync, so a SIGKILL at any later point
-// loses nothing acknowledged. Fsyncs are group-committed: concurrent
-// writers piggyback on one another's syncs, so the fsync rate stays
-// roughly constant as writer count grows.
+// written and covered by the log's group-commit fsync, so a SIGKILL at
+// any later point loses nothing acknowledged.
 //
 // Delete appends a tombstone record (replayed on recovery) and marks
 // the dead bytes in the victim's segment; Compact rewrites sealed
@@ -39,31 +35,21 @@ import (
 // segment order, so the newest location wins and the stale segment is
 // simply re-collected on the next pass.
 type DiskStore struct {
-	dir  string
 	opts DiskStoreOptions
+	log  *seglog.Log
 
 	mu        sync.RWMutex
 	index     map[Sum]recLoc
-	segs      map[uint32]*segment
-	active    *segment
-	nextID    uint32
+	segs      map[uint32]*segAcct
 	dataBytes int64 // live payload bytes (headers excluded)
-
-	// appendLSN counts bytes ever appended (across segments); the
-	// group-commit path tracks how far fsyncs have covered it.
-	appendLSN atomic.Int64
-	syncedLSN atomic.Int64
-	syncMu    sync.Mutex
 
 	puts        atomic.Int64
 	dedupHits   atomic.Int64
 	bytesStored atomic.Int64
 
-	fsyncs      atomic.Int64
 	compactions atomic.Int64
 	streamReads atomic.Int64 // GetReaderCtx opens (zero-copy read path)
 	recovery    time.Duration
-	truncated   int64 // torn-tail bytes discarded at open
 	closed      bool
 }
 
@@ -97,16 +83,12 @@ type recLoc struct {
 	n   uint32 // payload length
 }
 
-// segment is one on-disk file plus its occupancy accounting. live and
-// dead are record byte counts including headers, so live+dead equals
-// the file size once sealed.
-type segment struct {
-	id   uint32
-	f    *os.File
-	size int64
+// segAcct is one segment's occupancy accounting. live and dead are
+// record byte counts including headers, so live+dead is the segment's
+// size.
+type segAcct struct {
 	live int64
 	dead int64
-	pins atomic.Int64 // in-flight ReadAt count, blocks file close
 }
 
 const (
@@ -137,179 +119,82 @@ func encodeHeader(hdr []byte, sum Sum, length uint32, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[20:24], crc)
 }
 
+// recordIntact reports whether a whole record matches its stored CRC.
+func recordIntact(rec []byte) bool {
+	crc := crc32.ChecksumIEEE(rec[:20])
+	crc = crc32.Update(crc, crc32.IEEETable, rec[recHeaderSize:])
+	return binary.LittleEndian.Uint32(rec[20:24]) == crc
+}
+
+// diskFormat is the segment-file format DiskStore's log scans.
+var diskFormat = seglog.Format{
+	Pattern:    segPattern,
+	HeaderSize: recHeaderSize,
+	RecordLen: func(hdr []byte) (int64, bool) {
+		n := binary.LittleEndian.Uint32(hdr[16:20])
+		return recordSize(n), n == tombstoneLen || n <= ChunkSize
+	},
+}
+
 // OpenDiskStore opens (creating if needed) a segment store rooted at
 // dir and rebuilds the index by scanning every segment in order.
 func OpenDiskStore(dir string, opts DiskStoreOptions) (*DiskStore, error) {
 	opts.setDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: diskstore: %w", err)
-	}
 	ds := &DiskStore{
-		dir:   dir,
 		opts:  opts,
 		index: make(map[Sum]recLoc),
-		segs:  make(map[uint32]*segment),
+		segs:  make(map[uint32]*segAcct),
 	}
 	start := time.Now()
-	if err := ds.recover(); err != nil {
-		return nil, err
+	log, err := seglog.Open(dir, diskFormat, seglog.Options{SegmentSize: opts.SegmentSize, NoSync: opts.NoSync}, ds.replay)
+	if err != nil {
+		return nil, fmt.Errorf("storage: diskstore: %w", err)
 	}
+	ds.log = log
 	ds.recovery = time.Since(start)
 	return ds, nil
 }
 
-// recover scans the segment files in id order, replaying data and
-// tombstone records into the index. Only the final segment may hold a
-// torn record (earlier ones were fsynced before rotation); the torn
-// tail is truncated so appends resume at a clean offset.
-func (ds *DiskStore) recover() error {
-	entries, err := os.ReadDir(ds.dir)
-	if err != nil {
-		return err
+// replay applies one record found by the open-time scan to the index
+// and the accounting, in segment order, so the newest location of a
+// chunk wins (a crash between a compaction copy and the old segment's
+// unlink leaves a duplicate). It reports false for a damaged record.
+func (ds *DiskStore) replay(seg uint32, off int64, rec []byte) bool {
+	if !recordIntact(rec) {
+		return false
 	}
-	var ids []uint32
-	for _, e := range entries {
-		var id uint32
-		if _, err := fmt.Sscanf(e.Name(), segPattern, &id); err == nil {
-			ids = append(ids, id)
+	var sum Sum
+	copy(sum[:], rec[:16])
+	length := binary.LittleEndian.Uint32(rec[16:20])
+	acct := ds.acct(seg)
+	if length == tombstoneLen {
+		acct.dead += recHeaderSize
+		if loc, live := ds.index[sum]; live {
+			ds.deadenLocked(loc)
+			delete(ds.index, sum)
+			ds.dataBytes -= int64(loc.n)
 		}
+		return true
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	for i, id := range ids {
-		if _, err := ds.scanSegment(id, i == len(ids)-1); err != nil {
-			return err
-		}
-		if id >= ds.nextID {
-			ds.nextID = id + 1
-		}
+	if old, dup := ds.index[sum]; dup {
+		ds.deadenLocked(old)
+		ds.dataBytes -= int64(old.n)
 	}
-
-	// Resume appending into the final segment if it has room;
-	// otherwise (or with no segments at all) start a fresh one.
-	if n := len(ids); n > 0 {
-		last := ds.segs[ids[n-1]]
-		if last.size < ds.opts.SegmentSize {
-			f, err := os.OpenFile(filepath.Join(ds.dir, segName(last.id)), os.O_RDWR, 0o644)
-			if err != nil {
-				return err
-			}
-			last.f.Close()
-			last.f = f
-			ds.active = last
-		}
-	}
-	if ds.active == nil {
-		if err := ds.newActiveLocked(); err != nil {
-			return err
-		}
-	}
-	ds.appendLSN.Store(totalSize(ds.segs))
-	ds.syncedLSN.Store(ds.appendLSN.Load())
-	return nil
+	ds.index[sum] = recLoc{seg: seg, off: off, n: length}
+	acct.live += recordSize(length)
+	ds.dataBytes += int64(length)
+	return true
 }
 
-func totalSize(segs map[uint32]*segment) int64 {
-	var n int64
-	for _, s := range segs {
-		n += s.size
+// acct returns seg's accounting, creating it on the segment's first
+// record (caller holds mu, or is single-threaded open).
+func (ds *DiskStore) acct(seg uint32) *segAcct {
+	a, ok := ds.segs[seg]
+	if !ok {
+		a = &segAcct{}
+		ds.segs[seg] = a
 	}
-	return n
-}
-
-// scanSegment replays one segment file, updating the index and
-// returning its occupancy accounting. final marks the last segment,
-// whose torn tail (if any) is truncated rather than rejected.
-func (ds *DiskStore) scanSegment(id uint32, final bool) (*segment, error) {
-	path := filepath.Join(ds.dir, segName(id))
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	seg := &segment{id: id, f: f}
-	// Register before scanning so tombstones and duplicates that refer
-	// back into this same segment adjust its accounting.
-	ds.segs[id] = seg
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	fileSize := info.Size()
-
-	var off int64
-	hdr := make([]byte, recHeaderSize)
-	var payload []byte
-	for off < fileSize {
-		ok, length, sum := false, uint32(0), Sum{}
-		if fileSize-off >= recHeaderSize {
-			if _, err := f.ReadAt(hdr, off); err != nil {
-				f.Close()
-				return nil, err
-			}
-			copy(sum[:], hdr[:16])
-			length = binary.LittleEndian.Uint32(hdr[16:20])
-			want := binary.LittleEndian.Uint32(hdr[20:24])
-			switch {
-			case length == tombstoneLen:
-				ok = crc32.ChecksumIEEE(hdr[:20]) == want
-			case length <= ChunkSize && off+recordSize(length) <= fileSize:
-				if int(length) > cap(payload) {
-					payload = make([]byte, length)
-				}
-				payload = payload[:length]
-				if _, err := f.ReadAt(payload, off+recHeaderSize); err != nil {
-					f.Close()
-					return nil, err
-				}
-				crc := crc32.ChecksumIEEE(hdr[:20])
-				ok = crc32.Update(crc, crc32.IEEETable, payload) == want
-			}
-		}
-		if !ok {
-			if !final {
-				f.Close()
-				return nil, fmt.Errorf("storage: diskstore: corrupt record in sealed segment %s at offset %d", segName(id), off)
-			}
-			// Torn tail from the crash that this recovery is healing:
-			// discard it so the next append starts on a record boundary.
-			ds.truncated += fileSize - off
-			f.Close()
-			if err := os.Truncate(path, off); err != nil {
-				return nil, err
-			}
-			if f, err = os.Open(path); err != nil {
-				return nil, err
-			}
-			seg.f = f
-			fileSize = off
-			break
-		}
-
-		rs := recordSize(length)
-		if length == tombstoneLen {
-			seg.dead += rs
-			if loc, live := ds.index[sum]; live {
-				ds.deadenLocked(loc)
-				delete(ds.index, sum)
-				ds.dataBytes -= int64(loc.n)
-			}
-		} else {
-			if old, dup := ds.index[sum]; dup {
-				// Duplicate data record (e.g. a crash between a
-				// compaction copy and the old segment's unlink): the
-				// newest location wins.
-				ds.deadenLocked(old)
-				ds.dataBytes -= int64(old.n)
-			}
-			ds.index[sum] = recLoc{seg: id, off: off, n: length}
-			seg.live += rs
-			ds.dataBytes += int64(length)
-		}
-		off += rs
-	}
-	seg.size = fileSize
-	return seg, nil
+	return a
 }
 
 // deadenLocked moves one record's bytes from live to dead in its
@@ -322,95 +207,16 @@ func (ds *DiskStore) deadenLocked(loc recLoc) {
 	}
 }
 
-// newActiveLocked seals nothing and opens the next segment file for
-// appending (caller holds mu, or is single-threaded open).
-func (ds *DiskStore) newActiveLocked() error {
-	id := ds.nextID
-	ds.nextID++
-	f, err := os.OpenFile(filepath.Join(ds.dir, segName(id)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	seg := &segment{id: id, f: f}
-	ds.segs[id] = seg
-	ds.active = seg
-	return nil
-}
-
-// sealActiveLocked fsyncs the active segment and rotates to a new one
-// (caller holds mu). Sealed files are never written again, which is
-// what confines torn records to the final segment.
-func (ds *DiskStore) sealActiveLocked() error {
-	if !ds.opts.NoSync {
-		if err := ds.active.f.Sync(); err != nil {
-			return err
-		}
-		ds.fsyncs.Add(1)
-	}
-	// Everything appended so far lives in sealed, synced files.
-	maxLSN(&ds.syncedLSN, ds.appendLSN.Load())
-	return ds.newActiveLocked()
-}
-
-// maxLSN raises v to at least lsn.
-func maxLSN(v *atomic.Int64, lsn int64) {
-	for {
-		cur := v.Load()
-		if cur >= lsn || v.CompareAndSwap(cur, lsn) {
-			return
-		}
-	}
-}
-
-// appendLocked writes one complete record — header and payload, as
-// the caller sealed or verified it — to the active segment in one
-// pwrite, rotating first if the segment is full, and returns the
+// appendLocked appends one complete record — header and payload, as
+// the caller sealed or verified it — to the log and returns the
 // record's location and the LSN an fsync must cover for it to be
 // durable (caller holds mu).
 func (ds *DiskStore) appendLocked(rec []byte) (recLoc, int64, error) {
-	if ds.active.size >= ds.opts.SegmentSize {
-		if err := ds.sealActiveLocked(); err != nil {
-			return recLoc{}, 0, err
-		}
-	}
-	seg := ds.active
-	if _, err := seg.f.WriteAt(rec, seg.size); err != nil {
+	seg, off, lsn, err := ds.log.Append(rec)
+	if err != nil {
 		return recLoc{}, 0, err
 	}
-	loc := recLoc{seg: seg.id, off: seg.size, n: binary.LittleEndian.Uint32(rec[16:20])}
-	rs := int64(len(rec))
-	seg.size += rs
-	return loc, ds.appendLSN.Add(rs), nil
-}
-
-// syncTo blocks until an fsync has covered lsn. Writers arriving
-// while another writer's fsync is in flight queue on syncMu and
-// usually find their record already covered when they get the lock —
-// the group commit that keeps fsync count sublinear in writer count.
-func (ds *DiskStore) syncTo(lsn int64) error {
-	if ds.opts.NoSync {
-		return nil
-	}
-	if ds.syncedLSN.Load() >= lsn {
-		return nil
-	}
-	ds.syncMu.Lock()
-	defer ds.syncMu.Unlock()
-	if ds.syncedLSN.Load() >= lsn {
-		return nil
-	}
-	ds.mu.RLock()
-	f := ds.active.f
-	cover := ds.appendLSN.Load()
-	ds.mu.RUnlock()
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	ds.fsyncs.Add(1)
-	// Records at or below cover sit either in the file just synced or
-	// in a segment that was fsynced when it was sealed.
-	maxLSN(&ds.syncedLSN, cover)
-	return nil
+	return recLoc{seg: seg, off: off, n: binary.LittleEndian.Uint32(rec[16:20])}, lsn, nil
 }
 
 // Put implements ChunkStore. It returns only after the record is
@@ -477,7 +283,7 @@ func (ds *DiskStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	}
 
 	fs := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskFsync)
-	err = ds.syncTo(lsn)
+	err = ds.log.SyncTo(lsn)
 	fs.EndErr(err)
 	return err
 }
@@ -499,7 +305,7 @@ func (ds *DiskStore) appendNew(sum Sum, rec []byte) (lsn int64, dup bool, err er
 		return 0, false, err
 	}
 	ds.index[sum] = loc
-	ds.segs[loc.seg].live += recordSize(loc.n)
+	ds.acct(loc.seg).live += recordSize(loc.n)
 	ds.dataBytes += int64(loc.n)
 	return lsn, false, nil
 }
@@ -531,18 +337,18 @@ func (ds *DiskStore) readRecord(sum Sum) ([]byte, error) {
 		ds.mu.RUnlock()
 		return nil, ErrNotFound
 	}
-	seg := ds.segs[loc.seg]
-	seg.pins.Add(1)
+	seg, err := ds.log.Pin(loc.seg)
 	ds.mu.RUnlock()
-	defer seg.pins.Add(-1)
-
-	buf := make([]byte, recordSize(loc.n))
-	if _, err := seg.f.ReadAt(buf, loc.off); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	crc := crc32.ChecksumIEEE(buf[:20])
-	crc = crc32.Update(crc, crc32.IEEETable, buf[recHeaderSize:])
-	if binary.LittleEndian.Uint32(buf[20:24]) != crc {
+	defer seg.Release()
+
+	buf := make([]byte, recordSize(loc.n))
+	if _, err := seg.ReadAt(buf, loc.off); err != nil {
+		return nil, err
+	}
+	if !recordIntact(buf) {
 		return nil, fmt.Errorf("storage: diskstore: on-disk corruption for %s", sum)
 	}
 	return buf, nil
@@ -572,29 +378,30 @@ func (ds *DiskStore) GetReaderCtx(ctx context.Context, sum Sum) (_ *ChunkReader,
 		ds.mu.RUnlock()
 		return nil, ErrNotFound
 	}
-	seg := ds.segs[loc.seg]
-	seg.pins.Add(1)
+	seg, err := ds.log.Pin(loc.seg)
 	ds.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
 	ds.streamReads.Add(1)
 
 	// One 24-byte pread fetches the stored CRC (so the streaming copy
 	// can verify without a second pass) and sanity-checks the header
 	// against the index before any payload byte is served.
 	var hdr [recHeaderSize]byte
-	if _, err := seg.f.ReadAt(hdr[:], loc.off); err != nil {
-		seg.pins.Add(-1)
+	if _, err := seg.ReadAt(hdr[:], loc.off); err != nil {
+		seg.Release()
 		return nil, err
 	}
 	var hsum Sum
 	copy(hsum[:], hdr[:16])
 	if hsum != sum || binary.LittleEndian.Uint32(hdr[16:20]) != loc.n {
-		seg.pins.Add(-1)
+		seg.Release()
 		return nil, fmt.Errorf("storage: diskstore: on-disk corruption for %s", sum)
 	}
 	stored := binary.LittleEndian.Uint32(hdr[20:24])
 	hdrCRC := crc32.ChecksumIEEE(hdr[:20])
-	release := func() { seg.pins.Add(-1) }
-	return newDiskReader(seg.f, loc.off, int64(loc.n), stored, hdrCRC, release), nil
+	return newDiskReader(seg, loc.off, int64(loc.n), stored, hdrCRC, seg.Release), nil
 }
 
 // Has implements ChunkStore.
@@ -606,8 +413,7 @@ func (ds *DiskStore) Has(sum Sum) bool {
 }
 
 // Stats implements ChunkStore. Chunks/Bytes are rebuilt from the
-// segment scan on open; the Put counters restart at zero per process,
-// matching FileStore.
+// segment scan on open; the Put counters restart at zero per process.
 func (ds *DiskStore) Stats() StoreStats {
 	ds.mu.RLock()
 	chunks := len(ds.index)
@@ -637,7 +443,7 @@ func (ds *DiskStore) Delete(sum Sum) error {
 	}
 	var tomb [recHeaderSize]byte
 	encodeHeader(tomb[:], sum, tombstoneLen, nil)
-	_, lsn, err := ds.appendLocked(tomb[:])
+	tloc, lsn, err := ds.appendLocked(tomb[:])
 	if err != nil {
 		ds.mu.Unlock()
 		return err
@@ -645,20 +451,22 @@ func (ds *DiskStore) Delete(sum Sum) error {
 	delete(ds.index, sum)
 	ds.deadenLocked(loc)
 	ds.dataBytes -= int64(loc.n)
-	ds.segs[ds.active.id].dead += recHeaderSize // the tombstone itself is never live
+	ds.acct(tloc.seg).dead += recHeaderSize // the tombstone itself is never live
 	ds.mu.Unlock()
-	return ds.syncTo(lsn)
+	return ds.log.SyncTo(lsn)
 }
 
 // compactableLocked lists sealed segments whose live ratio is below
 // the threshold (caller holds mu). Empty sealed segments qualify too.
 func (ds *DiskStore) compactableLocked() []uint32 {
 	var ids []uint32
+	active := ds.log.Active()
 	for id, s := range ds.segs {
-		if s == ds.active || s.size == 0 {
+		size := s.live + s.dead
+		if id == active || size == 0 {
 			continue
 		}
-		if float64(s.live)/float64(s.size) < ds.opts.CompactBelow {
+		if float64(s.live)/float64(size) < ds.opts.CompactBelow {
 			ids = append(ids, id)
 		}
 	}
@@ -694,8 +502,8 @@ func (ds *DiskStore) Compact() (int, error) {
 func (ds *DiskStore) compactSegment(id uint32) error {
 	// Snapshot the live records currently addressed in this segment.
 	ds.mu.RLock()
-	seg, ok := ds.segs[id]
-	if !ok || seg == ds.active {
+	acct, ok := ds.segs[id]
+	if !ok || id == ds.log.Active() {
 		ds.mu.RUnlock()
 		return nil
 	}
@@ -732,7 +540,7 @@ func (ds *DiskStore) compactSegment(id uint32) error {
 			return err
 		}
 		ds.index[r.sum] = loc
-		ds.segs[loc.seg].live += recordSize(loc.n)
+		ds.acct(loc.seg).live += recordSize(loc.n)
 		ds.deadenLocked(r.loc)
 		ds.mu.Unlock()
 		maxLSNCopied = lsn
@@ -740,32 +548,25 @@ func (ds *DiskStore) compactSegment(id uint32) error {
 	// The copies must be durable before the originals disappear,
 	// otherwise a crash right after the unlink could lose live chunks.
 	if maxLSNCopied > 0 {
-		if err := ds.syncTo(maxLSNCopied); err != nil {
+		if err := ds.log.SyncTo(maxLSNCopied); err != nil {
 			return err
 		}
 	}
 
 	ds.mu.Lock()
-	if ds.segs[id] != seg || seg == ds.active {
+	if ds.segs[id] != acct || id == ds.log.Active() {
 		ds.mu.Unlock()
 		return nil
 	}
 	delete(ds.segs, id)
 	ds.mu.Unlock()
-
-	if err := os.Remove(filepath.Join(ds.dir, segName(id))); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	// Readers that grabbed the segment before the index swap may still
-	// be mid-ReadAt on the (now unlinked) file; wait them out before
-	// closing the descriptor.
-	for seg.pins.Load() != 0 {
-		time.Sleep(time.Millisecond)
-	}
-	return seg.f.Close()
+	// Readers that pinned the segment before the index swap may still
+	// be reading it; Remove waits them out before closing the file.
+	return ds.log.Remove(id)
 }
 
-// Close fsyncs the active segment and releases every file handle.
+// Close fsyncs the active segment and releases every file handle. A
+// Put that appended before Close is durable and returns nil.
 func (ds *DiskStore) Close() error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -773,20 +574,7 @@ func (ds *DiskStore) Close() error {
 		return nil
 	}
 	ds.closed = true
-	var first error
-	if !ds.opts.NoSync {
-		if err := ds.active.f.Sync(); err != nil {
-			first = err
-		} else {
-			ds.fsyncs.Add(1)
-		}
-	}
-	for _, s := range ds.segs {
-		if err := s.f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return ds.log.Close()
 }
 
 // Range calls f for every live chunk with its payload size, stopping
@@ -824,14 +612,15 @@ type DiskStats struct {
 
 // DiskStats returns a snapshot of the on-disk accounting.
 func (ds *DiskStore) DiskStats() DiskStats {
+	ls := ds.log.Stats()
 	ds.mu.RLock()
 	st := DiskStats{
-		Segments:    len(ds.segs),
-		Fsyncs:      ds.fsyncs.Load(),
+		Segments:    ls.Segments,
+		Fsyncs:      ls.Fsyncs,
 		Compactions: ds.compactions.Load(),
 		StreamReads: ds.streamReads.Load(),
 		Recovery:    ds.recovery,
-		Truncated:   ds.truncated,
+		Truncated:   ls.Truncated,
 	}
 	for _, s := range ds.segs {
 		st.LiveBytes += s.live

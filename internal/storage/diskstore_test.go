@@ -641,54 +641,6 @@ func TestDiskStoreConcurrent(t *testing.T) {
 	}
 }
 
-// TestDiskStoreFsyncBatching verifies group commit deterministically:
-// the test holds the sync lock while a batch of writers append, so
-// when the lock is released the first writer's fsync must cover the
-// whole batch and the rest return without syncing.
-func TestDiskStoreFsyncBatching(t *testing.T) {
-	ds, _ := newDiskStore(t, DiskStoreOptions{})
-	const workers = 16
-
-	// Warm up so the baseline fsync count is stable.
-	warm := testChunk(8, 9999)
-	if err := ds.Put(SumBytes(warm), warm); err != nil {
-		t.Fatal(err)
-	}
-	base := ds.DiskStats().Fsyncs
-	wantLSN := ds.appendLSN.Load()
-	for i := 0; i < workers; i++ {
-		wantLSN += recordSize(uint32(len(testChunk(8, i))))
-	}
-
-	ds.syncMu.Lock() // stall every writer's fsync behind the test
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			data := testChunk(8, w)
-			if err := ds.Put(SumBytes(data), data); err != nil {
-				t.Error(err)
-			}
-		}(w)
-	}
-	// Wait until every writer has appended (Put blocks only in syncTo).
-	for ds.appendLSN.Load() < wantLSN {
-		time.Sleep(time.Millisecond)
-	}
-	ds.syncMu.Unlock()
-	wg.Wait()
-
-	got := ds.DiskStats().Fsyncs - base
-	if got >= workers {
-		t.Fatalf("%d fsyncs for %d batched puts; group commit not batching", got, workers)
-	}
-	if got == 0 {
-		t.Fatal("no fsync issued for the batch")
-	}
-	t.Logf("group commit: %d puts covered by %d fsyncs", workers, got)
-}
-
 func copyFile(t *testing.T, src, dst string) {
 	t.Helper()
 	data, err := os.ReadFile(src)

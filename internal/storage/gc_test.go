@@ -44,10 +44,11 @@ func TestRefCounterOverRelease(t *testing.T) {
 }
 
 func TestCollectReclaimsFromDeletableStore(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
+	fs, err := OpenDiskStore(t.TempDir(), DiskStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs.Close()
 	data := []byte("collectable")
 	sum := SumBytes(data)
 	if err := fs.Put(sum, data); err != nil {

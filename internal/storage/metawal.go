@@ -7,67 +7,52 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mcloud/internal/metrics"
+	"mcloud/internal/seglog"
 )
 
 // MetaWAL is the metadata server's write-ahead log: the durability
 // layer that makes every acknowledged metadata mutation — URL
 // reservations, dedup links, commits, unlinks — survive SIGKILL, the
-// way DiskStore already protects chunk payloads. The mechanism is the
-// same group-commit design:
+// way DiskStore already protects chunk payloads, and on the same
+// segment log (internal/seglog), which owns the files, the
+// group-commit fsync and torn-tail recovery:
 //
 //   - Every mutation appends one framed record (seq | len | crc32 |
-//     JSON payload) to the active segment file and then waits for an
-//     fsync to cover its LSN. Concurrent writers piggyback on one
-//     another's fsyncs, so the fsync rate stays roughly constant as
-//     commit concurrency grows.
+//     JSON payload) to the log and then waits for an fsync to cover
+//     its LSN.
 //   - A checkpoint serializes the full catalog with the snapshot
-//     codec (persist.go), writes it atomically (temp + fsync + rename
-//     + directory fsync), seals the active segment, and deletes the
-//     sealed segments the checkpoint now covers. Rotation happens
-//     only at checkpoints, so sealed segments are always fsynced
-//     before they stop being written — a crash can tear only the
-//     final segment.
-//   - Open-time recovery loads the checkpoint, replays every WAL
-//     record with a later sequence number, and truncates a torn final
-//     record exactly like DiskStore's segment scan.
+//     codec (persist.go), seals the active segment, writes the
+//     snapshot atomically (temp + fsync + rename + directory fsync),
+//     and removes the sealed segments the checkpoint now covers.
+//     Rotation happens only at checkpoints.
+//   - Open-time recovery loads the checkpoint and replays every WAL
+//     record with a later sequence number.
 //
 // The log is also the replication stream: committed records feed the
 // in-memory tail buffer that standby nodes pull over /v1/meta/wal/pull
 // (see metareplicate.go).
 type MetaWAL struct {
 	dir string
+	log *seglog.Log
 
-	mu         sync.Mutex
-	active     *os.File
-	activeID   uint32
-	activeSize int64
-	sealed     []sealedSeg
-	cpSeq      uint64 // sequence number covered by checkpoint.json
-	closed     bool
-
-	// Group-commit state, mirroring DiskStore: appendLSN counts bytes
-	// ever appended across segments, syncedLSN how far fsyncs cover.
-	appendLSN atomic.Int64
-	syncedLSN atomic.Int64
-	syncMu    sync.Mutex
+	mu     sync.Mutex
+	sealed []sealedSeg
+	cpSeq  uint64 // sequence number covered by checkpoint.json
 
 	appends     atomic.Int64
 	bytesLogged atomic.Int64
-	fsyncs      atomic.Int64
 	checkpoints atomic.Int64
 	recovery    time.Duration
-	truncated   int64 // torn-tail bytes discarded at open
 
 	fsyncHist *metrics.Histogram // nil until Instrument
 }
 
-// sealedSeg is one closed segment file awaiting checkpoint pruning.
+// sealedSeg is one sealed segment awaiting checkpoint pruning.
 type sealedSeg struct {
 	id      uint32
 	lastSeq uint64 // highest record sequence the segment holds
@@ -118,6 +103,17 @@ const (
 
 func walSegName(id uint32) string { return fmt.Sprintf(walSegPattern, id) }
 
+// walFormat is the segment-file format MetaWAL's log scans.
+var walFormat = seglog.Format{
+	Pattern:    walSegPattern,
+	FirstID:    1,
+	HeaderSize: walHeaderSize,
+	RecordLen: func(hdr []byte) (int64, bool) {
+		n := binary.LittleEndian.Uint32(hdr[8:12])
+		return walHeaderSize + int64(n), n <= maxWALRecord
+	},
+}
+
 // encodeWALHeader frames one record; the CRC covers the first 12
 // header bytes and the payload, catching torn and bit-flipped records
 // in one check.
@@ -127,6 +123,18 @@ func encodeWALHeader(hdr []byte, seq uint64, payload []byte) {
 	crc := crc32.ChecksumIEEE(hdr[:12])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	binary.LittleEndian.PutUint32(hdr[12:16], crc)
+}
+
+// decodeWALRecord checks one framed record's CRC and sequence number
+// and decodes its payload.
+func decodeWALRecord(rec []byte) (MetaWALRecord, bool) {
+	var r MetaWALRecord
+	crc := crc32.ChecksumIEEE(rec[:12])
+	if crc32.Update(crc, crc32.IEEETable, rec[walHeaderSize:]) != binary.LittleEndian.Uint32(rec[12:16]) {
+		return r, false
+	}
+	err := json.Unmarshal(rec[walHeaderSize:], &r)
+	return r, err == nil && r.Seq == binary.LittleEndian.Uint64(rec[0:8])
 }
 
 // checkpointFile is the on-disk form of a metadata checkpoint: the
@@ -147,9 +155,6 @@ type checkpointFile struct {
 // acknowledged.
 func OpenDurableMetadata(dir string) (*Metadata, error) {
 	start := time.Now()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: metawal: %w", err)
-	}
 	m := NewMetadata()
 
 	cp, err := loadCheckpoint(filepath.Join(dir, checkpointName))
@@ -168,9 +173,29 @@ func OpenDurableMetadata(dir string) (*Metadata, error) {
 	if cp != nil {
 		w.cpSeq = cp.Seq
 	}
-	replay, err := w.recover()
+	var replay []MetaWALRecord
+	lastSeq := make(map[uint32]uint64) // per segment
+	w.log, err = seglog.Open(dir, walFormat, seglog.Options{}, func(seg uint32, _ int64, rec []byte) bool {
+		r, ok := decodeWALRecord(rec)
+		if ok {
+			replay = append(replay, r)
+			lastSeq[seg] = r.Seq
+		}
+		return ok
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("storage: metawal: %w", err)
+	}
+	active := w.log.Active()
+	for _, id := range w.log.Segments() {
+		if id == active {
+			continue
+		}
+		last, ok := lastSeq[id]
+		if !ok {
+			last = w.cpSeq
+		}
+		w.sealed = append(w.sealed, sealedSeg{id: id, lastSeq: last})
 	}
 	for i := range replay {
 		rec := replay[i]
@@ -178,6 +203,7 @@ func OpenDurableMetadata(dir string) (*Metadata, error) {
 			continue // covered by the checkpoint (prune raced a crash)
 		}
 		if err := m.applyRecordLocked(&rec); err != nil {
+			w.log.Close()
 			return nil, fmt.Errorf("storage: metawal: replay seq %d: %w", rec.Seq, err)
 		}
 		m.lastSeq = rec.Seq
@@ -209,144 +235,6 @@ func loadCheckpoint(path string) (*checkpointFile, error) {
 	return &cp, nil
 }
 
-// recover scans the WAL segments in id order, returning every decoded
-// record. Only the final segment may hold a torn record (earlier ones
-// were fsynced when they were sealed at a checkpoint); the torn tail
-// is truncated so appends resume at a clean offset.
-func (w *MetaWAL) recover() ([]MetaWALRecord, error) {
-	entries, err := os.ReadDir(w.dir)
-	if err != nil {
-		return nil, err
-	}
-	var ids []uint32
-	for _, e := range entries {
-		var id uint32
-		if _, err := fmt.Sscanf(e.Name(), walSegPattern, &id); err == nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	var records []MetaWALRecord
-	for i, id := range ids {
-		final := i == len(ids)-1
-		segRecs, size, err := w.scanSegment(id, final)
-		if err != nil {
-			return nil, err
-		}
-		records = append(records, segRecs...)
-		if final {
-			// Resume appending into the last segment.
-			f, err := os.OpenFile(filepath.Join(w.dir, walSegName(id)), os.O_RDWR, 0o644)
-			if err != nil {
-				return nil, err
-			}
-			w.active = f
-			w.activeID = id
-			w.activeSize = size
-		} else {
-			last := w.cpSeq
-			if n := len(segRecs); n > 0 {
-				last = segRecs[n-1].Seq
-			}
-			w.sealed = append(w.sealed, sealedSeg{id: id, lastSeq: last})
-		}
-	}
-	if w.active == nil {
-		if err := w.newActiveLocked(); err != nil {
-			return nil, err
-		}
-	}
-	w.appendLSN.Store(w.activeSize)
-	w.syncedLSN.Store(w.activeSize)
-	return records, nil
-}
-
-// scanSegment decodes one segment file. final marks the last segment,
-// whose torn tail (if any) is truncated rather than rejected.
-func (w *MetaWAL) scanSegment(id uint32, final bool) ([]MetaWALRecord, int64, error) {
-	path := filepath.Join(w.dir, walSegName(id))
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	fileSize := info.Size()
-
-	var records []MetaWALRecord
-	var off int64
-	hdr := make([]byte, walHeaderSize)
-	var payload []byte
-	for off < fileSize {
-		var rec MetaWALRecord
-		ok := false
-		if fileSize-off >= walHeaderSize {
-			if _, err := f.ReadAt(hdr, off); err != nil {
-				return nil, 0, err
-			}
-			seq := binary.LittleEndian.Uint64(hdr[0:8])
-			length := binary.LittleEndian.Uint32(hdr[8:12])
-			want := binary.LittleEndian.Uint32(hdr[12:16])
-			if length <= maxWALRecord && off+walHeaderSize+int64(length) <= fileSize {
-				if int(length) > cap(payload) {
-					payload = make([]byte, length)
-				}
-				payload = payload[:length]
-				if _, err := f.ReadAt(payload, off+walHeaderSize); err != nil {
-					return nil, 0, err
-				}
-				crc := crc32.ChecksumIEEE(hdr[:12])
-				if crc32.Update(crc, crc32.IEEETable, payload) == want {
-					if err := json.Unmarshal(payload, &rec); err == nil && rec.Seq == seq {
-						ok = true
-					}
-				}
-			}
-		}
-		if !ok {
-			if !final {
-				return nil, 0, fmt.Errorf("storage: metawal: corrupt record in sealed segment %s at offset %d", walSegName(id), off)
-			}
-			// Torn tail from the crash this recovery is healing.
-			w.truncated += fileSize - off
-			if err := os.Truncate(path, off); err != nil {
-				return nil, 0, err
-			}
-			fileSize = off
-			break
-		}
-		records = append(records, rec)
-		off += walHeaderSize + int64(len(payload))
-	}
-	return records, fileSize, nil
-}
-
-// newActiveLocked creates the next segment file and fsyncs the
-// directory so the entry survives a crash (caller holds mu, or is
-// single-threaded open).
-func (w *MetaWAL) newActiveLocked() error {
-	id := w.activeID + 1
-	if w.active == nil && w.activeID == 0 {
-		id = 1
-	}
-	f, err := os.OpenFile(filepath.Join(w.dir, walSegName(id)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := syncDir(w.dir); err != nil {
-		f.Close()
-		return err
-	}
-	w.active = f
-	w.activeID = id
-	w.activeSize = 0
-	return nil
-}
-
 // Append writes one framed record to the active segment and returns
 // the LSN an fsync must cover for it to be durable. The caller holds
 // the Metadata lock, which is what serializes record order with apply
@@ -356,88 +244,42 @@ func (w *MetaWAL) Append(rec *MetaWALRecord) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, fmt.Errorf("storage: metawal: closed")
-	}
 	buf := make([]byte, walHeaderSize+len(payload))
 	encodeWALHeader(buf[:walHeaderSize], rec.Seq, payload)
 	copy(buf[walHeaderSize:], payload)
-	if _, err := w.active.WriteAt(buf, w.activeSize); err != nil {
-		return 0, err
+	_, _, lsn, err := w.log.Append(buf)
+	if err != nil {
+		return 0, fmt.Errorf("storage: metawal: %w", err)
 	}
-	w.activeSize += int64(len(buf))
 	w.appends.Add(1)
 	w.bytesLogged.Add(int64(len(buf)))
-	return w.appendLSN.Add(int64(len(buf))), nil
+	return lsn, nil
 }
 
-// WaitDurable blocks until an fsync has covered lsn. Writers arriving
-// while another writer's fsync is in flight queue on syncMu and
-// usually find their record already covered when they get the lock —
-// the same group commit that keeps DiskStore's fsync rate sublinear
-// in writer count.
+// WaitDurable blocks until the log's group-commit fsync has covered
+// lsn, and records the wait.
 func (w *MetaWAL) WaitDurable(lsn int64) error {
-	if lsn == 0 || w.syncedLSN.Load() >= lsn {
-		return nil
-	}
 	start := time.Now()
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if w.syncedLSN.Load() >= lsn {
-		w.observeFsyncWait(start)
-		return nil
-	}
-	w.mu.Lock()
-	f := w.active
-	cover := w.appendLSN.Load()
-	closed := w.closed
-	w.mu.Unlock()
-	if closed {
-		return fmt.Errorf("storage: metawal: closed")
-	}
 	if d := metaFsyncDelay; d != nil {
 		d()
 	}
-	if err := f.Sync(); err != nil {
+	if err := w.log.SyncTo(lsn); err != nil {
 		return err
 	}
-	w.fsyncs.Add(1)
-	// Records at or below cover sit either in the file just synced or
-	// in a segment fsynced when it was sealed at a checkpoint.
-	maxLSN(&w.syncedLSN, cover)
-	w.observeFsyncWait(start)
-	return nil
-}
-
-// metaFsyncDelay, when set, runs inside WaitDurable's fsync path while
-// syncMu is held. Test hook: lets the fencing tests stall the disk
-// under an in-flight commit the way a sick device would.
-var metaFsyncDelay func()
-
-func (w *MetaWAL) observeFsyncWait(start time.Time) {
 	if h := w.fsyncHist; h != nil {
 		h.ObserveSince(start)
 	}
+	return nil
 }
 
-// rotateLocked seals the active segment (fsync, so it can never tear)
-// and opens the next one; sealSeq records the highest sequence the
-// sealed file holds, for checkpoint pruning (caller holds w.mu).
-func (w *MetaWAL) rotateLocked(sealSeq uint64) error {
-	if err := w.active.Sync(); err != nil {
-		return err
-	}
-	w.fsyncs.Add(1)
-	maxLSN(&w.syncedLSN, w.appendLSN.Load())
-	if err := w.active.Close(); err != nil {
-		return err
-	}
-	w.sealed = append(w.sealed, sealedSeg{id: w.activeID, lastSeq: sealSeq})
-	w.active = nil
-	return w.newActiveLocked()
-}
+// metaFsyncDelay, when set, runs in WaitDurable before the fsync wait.
+// Test hook: lets the fencing tests stall the disk under an in-flight
+// commit the way a sick device would.
+var metaFsyncDelay func()
+
+// renameCheckpoint is swapped out by crash-safety tests to fail the
+// checkpoint between the temp-file write and the atomic rename.
+var renameCheckpoint = os.Rename
 
 // writeCheckpoint persists the snapshot atomically beside the
 // segments: temp file + fsync + rename + directory fsync.
@@ -458,17 +300,17 @@ func (w *MetaWAL) writeCheckpoint(snap metaSnapshot, seq, epoch uint64) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(w.dir, checkpointName)); err != nil {
+	if err := renameCheckpoint(tmp.Name(), filepath.Join(w.dir, checkpointName)); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return syncDir(w.dir)
+	return seglog.SyncDir(w.dir)
 }
 
-// prune deletes sealed segments fully covered by the checkpoint at
-// seq. A crash before (or during) pruning is safe: replay skips
-// records at or below the checkpoint sequence, and the next
-// checkpoint collects the leftovers.
+// prune removes sealed segments fully covered by the checkpoint at
+// seq. A segment whose removal fails stays listed, so the next
+// checkpoint retries it. A crash before (or during) pruning is safe:
+// replay skips records at or below the checkpoint sequence.
 func (w *MetaWAL) prune(seq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -478,11 +320,13 @@ func (w *MetaWAL) prune(seq uint64) error {
 	var first error
 	for _, s := range w.sealed {
 		if s.lastSeq <= seq {
-			if err := os.Remove(filepath.Join(w.dir, walSegName(s.id))); err != nil && !os.IsNotExist(err) && first == nil {
-				first = err
-				kept = append(kept, s)
+			err := w.log.Remove(s.id)
+			if err == nil {
+				continue
 			}
-			continue
+			if first == nil {
+				first = err
+			}
 		}
 		kept = append(kept, s)
 	}
@@ -490,26 +334,10 @@ func (w *MetaWAL) prune(seq uint64) error {
 	return first
 }
 
-// Close fsyncs and releases the active segment. Call Checkpoint first
-// for a clean shutdown; Close alone is still crash-equivalent (the
-// WAL replays).
-func (w *MetaWAL) Close() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.active.Sync(); err != nil {
-		w.active.Close()
-		return err
-	}
-	w.fsyncs.Add(1)
-	maxLSN(&w.syncedLSN, w.appendLSN.Load())
-	return w.active.Close()
-}
+// Close fsyncs and releases the segments. Call Checkpoint first for a
+// clean shutdown; Close alone is still crash-equivalent (the WAL
+// replays).
+func (w *MetaWAL) Close() error { return w.log.Close() }
 
 // MetaWALStats is a snapshot of the log's accounting.
 type MetaWALStats struct {
@@ -525,17 +353,18 @@ type MetaWALStats struct {
 
 // Stats returns the current accounting.
 func (w *MetaWAL) Stats() MetaWALStats {
+	ls := w.log.Stats()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return MetaWALStats{
 		CheckpointSeq: w.cpSeq,
-		Segments:      len(w.sealed) + 1,
+		Segments:      ls.Segments,
 		Appends:       w.appends.Load(),
 		BytesLogged:   w.bytesLogged.Load(),
-		Fsyncs:        w.fsyncs.Load(),
+		Fsyncs:        ls.Fsyncs,
 		Checkpoints:   w.checkpoints.Load(),
 		Recovery:      w.recovery,
-		Truncated:     w.truncated,
+		Truncated:     ls.Truncated,
 	}
 }
 
@@ -547,7 +376,7 @@ func (w *MetaWAL) Instrument(reg *metrics.Registry) {
 	reg.CounterFunc("mcs_meta_wal_bytes_total", "Metadata WAL bytes appended (headers included).",
 		func() float64 { return float64(w.bytesLogged.Load()) })
 	reg.CounterFunc("mcs_meta_wal_fsyncs_total", "Metadata WAL fsync syscalls (group-committed).",
-		func() float64 { return float64(w.fsyncs.Load()) })
+		func() float64 { return float64(w.log.Stats().Fsyncs) })
 	reg.CounterFunc("mcs_meta_wal_checkpoints_total", "Metadata checkpoints taken.",
 		func() float64 { return float64(w.checkpoints.Load()) })
 	reg.GaugeFunc("mcs_meta_wal_segments", "Metadata WAL segment files on disk.",
@@ -555,7 +384,7 @@ func (w *MetaWAL) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("mcs_meta_wal_recovery_seconds", "Metadata recovery time at open (checkpoint load + WAL replay).",
 		func() float64 { return w.recovery.Seconds() })
 	reg.GaugeFunc("mcs_meta_wal_truncated_bytes", "Torn-tail bytes discarded at the last open.",
-		func() float64 { return float64(w.truncated) })
+		func() float64 { return float64(w.log.Stats().Truncated) })
 	w.fsyncHist = reg.Histogram("mcs_meta_wal_fsync_seconds",
 		"Group-commit fsync wait behind one metadata mutation.")
 }
@@ -580,7 +409,10 @@ func (m *Metadata) Checkpoint() error {
 		return nil
 	}
 	snap := m.snapshotLocked()
-	err := w.rotateLocked(seq)
+	sealed, err := w.log.Rotate()
+	if err == nil {
+		w.sealed = append(w.sealed, sealedSeg{id: sealed, lastSeq: seq})
+	}
 	w.mu.Unlock()
 	m.mu.Unlock()
 	if err != nil {

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -323,9 +325,7 @@ func TestMetaWALCorruptSealedSegment(t *testing.T) {
 	}
 	// Rotate without checkpointing so the sealed segment stays.
 	m.mu.Lock()
-	m.wal.mu.Lock()
-	rerr := m.wal.rotateLocked(m.lastSeq)
-	m.wal.mu.Unlock()
+	_, rerr := m.wal.log.Rotate()
 	m.mu.Unlock()
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -566,5 +566,208 @@ func TestMetaWALGroupCommit(t *testing.T) {
 	}
 	if st := w.Stats(); st.Appends != n {
 		t.Fatalf("appends = %d, want %d", st.Appends, n)
+	}
+}
+
+// failedCheckpoint runs a checkpoint whose rename fails, as a crash
+// between the temp-file write and the rename would leave it: the
+// active segment is sealed, the previous checkpoint stays, and nothing
+// is pruned.
+func failedCheckpoint(t *testing.T, m *Metadata) {
+	t.Helper()
+	renameCheckpoint = func(string, string) error { return errors.New("injected rename failure") }
+	defer func() { renameCheckpoint = os.Rename }()
+	if err := m.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded despite the injected rename failure")
+	}
+}
+
+// TestMetaWALCheckpointRenameFailureKeepsPrevious: a checkpoint that
+// fails at the rename leaves the previous checkpoint byte for byte and
+// the whole WAL, leaks no temp file, and reopening recovers the full
+// catalog.
+func TestMetaWALCheckpointRenameFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	m := openDurableMeta(t, dir)
+	for i := 0; i < 4; i++ {
+		metaUpload(t, m, 26, i, 1)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cpSeq := m.LastSeq()
+	cpPath := filepath.Join(dir, checkpointName)
+	prev, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 4; i < 8; i++ {
+		metaUpload(t, m, 26, i, 2)
+	}
+	failedCheckpoint(t, m)
+
+	if got, err := os.ReadFile(cpPath); err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("previous checkpoint changed by a failed checkpoint (err %v)", err)
+	}
+	if st := m.WAL().Stats(); st.CheckpointSeq != cpSeq || st.Segments != 2 {
+		t.Fatalf("stats = %+v, want checkpoint seq %d and 2 segments", st, cpSeq)
+	}
+	leftovers, err := filepath.Glob(filepath.Join(dir, ".checkpoint-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leftovers) != 0 {
+		t.Errorf("temp files leaked after the failed checkpoint: %v", leftovers)
+	}
+
+	if err := m.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2 := openDurableMeta(t, dir)
+	requireSameState(t, m, m2, "reopen after a failed checkpoint")
+	if m2.LastSeq() != m.LastSeq() {
+		t.Fatalf("lastSeq = %d, want %d", m2.LastSeq(), m.LastSeq())
+	}
+}
+
+// TestMetaWALPruneKeepsEveryFailedSegment: when several covered
+// segments fail to unlink, each stays counted and the next checkpoint
+// collects them all.
+func TestMetaWALPruneKeepsEveryFailedSegment(t *testing.T) {
+	dir := t.TempDir()
+	m := openDurableMeta(t, dir)
+	// Seal segments 1 and 2 without pruning them.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 3; i++ {
+			metaUpload(t, m, 27, 10*round+i, 1)
+		}
+		failedCheckpoint(t, m)
+	}
+	// Neither can be unlinked: each path is now a non-empty directory.
+	for _, id := range []uint32{1, 2} {
+		path := filepath.Join(dir, walSegName(id))
+		if err := os.Rename(path, path+".moved"); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metaUpload(t, m, 27, 20, 1)
+	if err := m.Checkpoint(); err == nil {
+		t.Fatal("checkpoint reported no error for two failed unlinks")
+	}
+	// Segment 3 was pruned; 1 and 2 remain beside the active segment 4.
+	if got := m.WAL().Stats().Segments; got != 3 {
+		t.Fatalf("segments = %d after two failed unlinks, want 3", got)
+	}
+
+	for _, id := range []uint32{1, 2} {
+		if err := os.RemoveAll(filepath.Join(dir, walSegName(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metaUpload(t, m, 27, 21, 1)
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.WAL().Stats().Segments; got != 1 {
+		t.Fatalf("segments = %d after the retry, want 1", got)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.mwal"))
+	if len(segs) != 1 {
+		t.Fatalf("segment files on disk after the retry: %v", segs)
+	}
+}
+
+// goldenWALOps is the operation sequence behind testdata/metawal-v1:
+// uploads, a dedup link and an unlink, a checkpoint, a promotion and
+// more uploads, a seal that leaves segment 2 unpruned, then more
+// writes into the active segment 3.
+func goldenWALOps(t *testing.T, m *Metadata, checkpoint, seal func()) {
+	t.Helper()
+	var urls []string
+	for i := 0; i < 4; i++ {
+		urls = append(urls, metaUpload(t, m, 41, i, 1+uint64(i%2)))
+	}
+	dup := testChunk(41, 2)
+	resp, err := m.StoreCheck(StoreCheckRequest{UserID: 7, Name: "dup", Size: int64(len(dup)), FileMD5: SumBytes(dup).String()})
+	if err != nil || !resp.Duplicate {
+		t.Fatalf("dedup hit: %v %+v", err, resp)
+	}
+	if _, _, err := m.Unlink(1, urls[0]); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint()
+	if err := m.PromoteEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 4; i < 6; i++ {
+		urls = append(urls, metaUpload(t, m, 41, i, 3))
+	}
+	seal()
+	for i := 6; i < 8; i++ {
+		urls = append(urls, metaUpload(t, m, 41, i, 1))
+	}
+	if _, _, err := m.Unlink(3, urls[4]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMetaWALReopenAcrossVersions pins the WAL format. testdata/
+// metawal-v1 was written by the MetaWAL that kept its own segment
+// files (before internal/seglog) running goldenWALOps and closing
+// without a checkpoint: a checkpoint at seq 10, sealed segment 2 and
+// active segment 3. The same operations must write byte-identical
+// segments here, and the old directory must reopen to the same
+// catalog, sequence and epoch.
+func TestMetaWALReopenAcrossVersions(t *testing.T) {
+	golden := filepath.Join("testdata", "metawal-v1")
+	dir := t.TempDir()
+	live := openDurableMeta(t, dir)
+	goldenWALOps(t, live, func() {
+		if err := live.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}, func() { failedCheckpoint(t, live) })
+	if err := live.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint32{2, 3} {
+		want, err := os.ReadFile(filepath.Join(golden, walSegName(id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, walSegName(id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s differs from the golden segment (%d vs %d bytes)", walSegName(id), len(got), len(want))
+		}
+	}
+
+	old := t.TempDir()
+	for _, name := range []string{checkpointName, walSegName(2), walSegName(3)} {
+		copyFile(t, filepath.Join(golden, name), filepath.Join(old, name))
+	}
+	m := openDurableMeta(t, old)
+	requireSameState(t, live, m, "golden directory")
+	if m.LastSeq() != 20 || m.Epoch() != 1 || live.LastSeq() != 20 || live.Epoch() != 1 {
+		t.Fatalf("seq/epoch: golden %d/%d, live %d/%d, want 20/1", m.LastSeq(), m.Epoch(), live.LastSeq(), live.Epoch())
+	}
+	if st := m.WAL().Stats(); st.CheckpointSeq != 10 || st.Segments != 2 {
+		t.Fatalf("golden stats = %+v, want checkpoint seq 10 and 2 segments", st)
+	}
+
+	// The old directory takes new writes, checkpoints and reopens.
+	u := metaUpload(t, m, 41, 100, 4)
+	if err := m.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	m2 := openDurableMeta(t, old)
+	requireSameState(t, m, m2, "golden directory after a checkpoint")
+	if _, err := m2.LookupURL(u); err != nil {
+		t.Fatal(err)
 	}
 }

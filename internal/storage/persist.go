@@ -2,11 +2,8 @@ package storage
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"syscall"
 )
 
 // metaSnapshot is the JSON form of the metadata server's durable
@@ -126,82 +123,4 @@ func (m *Metadata) restoreLocked(snap metaSnapshot) error {
 		}
 	}
 	return nil
-}
-
-// renameSnapshot is swapped out by crash-safety tests to simulate a
-// failure between the temp-file write and the atomic rename.
-var renameSnapshot = os.Rename
-
-// SaveFile writes a snapshot atomically (temp file + fsync + rename +
-// parent-directory fsync), so a crash at any point leaves either the
-// previous snapshot or the new one — never a torn file. The directory
-// fsync matters: without it the rename itself may not have reached
-// disk, and a crash immediately after SaveFile returns could resurrect
-// the old snapshot (or, for a first save, no snapshot at all).
-func (m *Metadata) SaveFile(path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".meta-*")
-	if err != nil {
-		return err
-	}
-	if err := m.Snapshot(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := renameSnapshot(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(dirOf(path))
-}
-
-// syncDir fsyncs a directory, making previously-renamed entries in it
-// durable. Filesystems that reject directory fsync (some network or
-// FUSE mounts) are tolerated: the rename is still atomic, only its
-// durability timing is weaker there.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil && (os.IsPermission(err) || errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP)) {
-		return nil
-	}
-	return err
-}
-
-// LoadFile restores from a snapshot file; a missing file is not an
-// error (fresh start).
-func (m *Metadata) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return m.Restore(f)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
 }

@@ -2,9 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -135,82 +132,5 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if err := m.Restore(strings.NewReader(
 		`{"version":1,"users":[{"user_id":1,"urls":["/f/nope"]}]}`)); err == nil {
 		t.Error("dangling user link accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	m, urls := populateMeta(t)
-	path := filepath.Join(t.TempDir(), "meta.json")
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewMetadata()
-	if err := restored.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.Resolve(ResolveRequest{UserID: 1, URL: urls["a"]}); err != nil {
-		t.Errorf("resolve after file round trip: %v", err)
-	}
-	// Missing file is a fresh start, not an error.
-	fresh := NewMetadata()
-	if err := fresh.LoadFile(filepath.Join(t.TempDir(), "absent.json")); err != nil {
-		t.Errorf("missing snapshot should not error: %v", err)
-	}
-	if fresh.Stats().Files != 0 {
-		t.Error("fresh server not empty")
-	}
-}
-
-// TestSaveFileCrashKeepsPreviousSnapshot simulates a crash between the
-// temp-file write and the atomic rename: the previous snapshot must
-// survive intact, LoadFile must restore it, and no temp file may leak.
-func TestSaveFileCrashKeepsPreviousSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "meta.json")
-
-	m1, urls := populateMeta(t)
-	if err := m1.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second, different state fails to persist at the rename step.
-	m2 := NewMetadata("http://fe1")
-	resp, err := m2.StoreCheck(StoreCheckRequest{
-		UserID: 8, Name: "new.bin", Size: 3,
-		FileMD5: SumBytes([]byte("v2!")).String(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Commit(0, resp.URL, []Sum{SumBytes([]byte("c"))}); err != nil {
-		t.Fatal(err)
-	}
-	renameSnapshot = func(oldpath, newpath string) error {
-		return fmt.Errorf("simulated crash before rename")
-	}
-	defer func() { renameSnapshot = os.Rename }()
-	if err := m2.SaveFile(path); err == nil {
-		t.Fatal("SaveFile succeeded despite the injected rename failure")
-	}
-
-	// The previous snapshot is untouched and loads cleanly.
-	restored := NewMetadata()
-	if err := restored.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.Resolve(ResolveRequest{UserID: 1, URL: urls["a"]}); err != nil {
-		t.Errorf("previous snapshot lost after failed save: %v", err)
-	}
-	if _, err := restored.Resolve(ResolveRequest{UserID: 8, URL: resp.URL}); err == nil {
-		t.Error("failed save's state leaked into the snapshot")
-	}
-
-	// No orphaned temp files.
-	leftovers, err := filepath.Glob(filepath.Join(dir, ".meta-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(leftovers) != 0 {
-		t.Errorf("temp files leaked after failed save: %v", leftovers)
 	}
 }

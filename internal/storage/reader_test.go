@@ -35,7 +35,7 @@ func TestChunkReaderPinAcrossCompaction(t *testing.T) {
 
 	// Pick a chunk that landed in a sealed segment.
 	ds.mu.RLock()
-	activeID := ds.active.id
+	activeID := ds.log.Active()
 	var target Sum
 	var targetSeg uint32
 	found := false

@@ -55,13 +55,13 @@ func (rb *Rebalancer) binNode(node string) bool { return rb.binNodes[node] }
 type RebalanceReport struct {
 	Nodes      int `json:"nodes"`
 	Replicas   int `json:"replicas"`
-	Chunks     int `json:"chunks"`      // distinct chunks seen
-	Copies     int `json:"copies"`      // replica copies seen
-	Replicated int `json:"replicated"`  // missing owner copies created
-	Pruned     int `json:"pruned"`      // misplaced copies removed
-	Misplaced  int `json:"misplaced"`   // copies on non-owner nodes
-	Errors     int `json:"errors"`      // failed transfers (chunk left as-is)
-	Unlistable int `json:"unlistable"`  // nodes whose store cannot enumerate
+	Chunks     int `json:"chunks"`     // distinct chunks seen
+	Copies     int `json:"copies"`     // replica copies seen
+	Replicated int `json:"replicated"` // missing owner copies created
+	Pruned     int `json:"pruned"`     // misplaced copies removed
+	Misplaced  int `json:"misplaced"`  // copies on non-owner nodes
+	Errors     int `json:"errors"`     // failed transfers (chunk left as-is)
+	Unlistable int `json:"unlistable"` // nodes whose store cannot enumerate
 }
 
 func (rb *Rebalancer) logf(format string, args ...interface{}) {

@@ -128,17 +128,17 @@ func NewReplicatedStore(cfg ReplicatedConfig) (*ReplicatedStore, error) {
 		health = cluster.NewHealth(0, 0)
 	}
 	rs := &ReplicatedStore{
-		self:    cfg.Self,
-		ring:    ring,
-		n:       n,
-		w:       w,
+		self:       cfg.Self,
+		ring:       ring,
+		n:          n,
+		w:          w,
 		local:      cfg.Local,
 		http:       httpc,
 		health:     health,
 		disableBin: cfg.DisableBin,
 		repairQ:    make(map[Sum]map[string]bool),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	every := cfg.RepairEvery
 	if every == 0 {

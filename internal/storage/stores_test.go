@@ -12,133 +12,6 @@ import (
 	"mcloud/internal/randx"
 )
 
-func TestFileStorePutGetRoundTrip(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("persistent chunk content")
-	sum := SumBytes(data)
-	if err := fs.Put(sum, data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.Get(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("content mismatch")
-	}
-	if !fs.Has(sum) {
-		t.Error("Has should be true")
-	}
-	if _, err := fs.Get(SumBytes([]byte("missing"))); err != ErrNotFound {
-		t.Errorf("missing: err = %v", err)
-	}
-}
-
-func TestFileStoreSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sums []Sum
-	for i := 0; i < 20; i++ {
-		data := []byte(fmt.Sprintf("chunk %d", i))
-		sum := SumBytes(data)
-		if err := fs.Put(sum, data); err != nil {
-			t.Fatal(err)
-		}
-		sums = append(sums, sum)
-	}
-	// A second store on the same directory sees everything.
-	fs2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sum := range sums {
-		got, err := fs2.Get(sum)
-		if err != nil {
-			t.Fatalf("chunk %d lost after reopen: %v", i, err)
-		}
-		if string(got) != fmt.Sprintf("chunk %d", i) {
-			t.Fatalf("chunk %d corrupted", i)
-		}
-	}
-	if st := fs2.Stats(); st.Chunks != 20 {
-		t.Errorf("reindexed %d chunks, want 20", st.Chunks)
-	}
-}
-
-func TestFileStoreDedupAndDelete(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("dup me")
-	sum := SumBytes(data)
-	for i := 0; i < 3; i++ {
-		if err := fs.Put(sum, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := fs.Stats()
-	if st.Chunks != 1 || st.DedupHits != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-	if err := fs.Delete(sum); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Has(sum) {
-		t.Error("chunk still present after delete")
-	}
-	if err := fs.Delete(sum); err != ErrNotFound {
-		t.Errorf("double delete: err = %v", err)
-	}
-}
-
-func TestFileStoreRejectsWrongDigest(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Put(SumBytes([]byte("a")), []byte("b")); err == nil {
-		t.Error("mismatched digest accepted")
-	}
-}
-
-func TestFileStoreConcurrent(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			src := randx.New(uint64(g))
-			for i := 0; i < 50; i++ {
-				data := []byte(fmt.Sprintf("content-%d", src.Intn(30)))
-				sum := SumBytes(data)
-				if err := fs.Put(sum, data); err != nil {
-					t.Error(err)
-					return
-				}
-				if got, err := fs.Get(sum); err != nil || !bytes.Equal(got, data) {
-					t.Errorf("concurrent read failed: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if st := fs.Stats(); st.Chunks > 30 {
-		t.Errorf("%d unique chunks for 30 contents", st.Chunks)
-	}
-}
-
 func TestCachedStoreHitMiss(t *testing.T) {
 	backing := NewMemStore()
 	c := NewCachedStore(backing, 1<<20)
@@ -427,14 +300,15 @@ func TestDownloadUnknownURL(t *testing.T) {
 	}
 }
 
-func TestFrontEndWithFileStoreBacking(t *testing.T) {
+func TestFrontEndWithDiskStoreBacking(t *testing.T) {
 	// The HTTP front-end works identically over the disk store.
-	fs, err := NewFileStore(t.TempDir())
+	ds, err := OpenDiskStore(t.TempDir(), DiskStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ds.Close()
 	meta := NewMetadata()
-	fe := NewFrontEnd(FrontEndConfig{Store: fs, Meta: meta})
+	fe := NewFrontEnd(FrontEndConfig{Store: ds, Meta: meta})
 	srv := httptest.NewServer(fe.Handler())
 	defer srv.Close()
 	metaSrv := httptest.NewServer(meta.Handler())
