@@ -29,20 +29,18 @@ type Download struct {
 // request, returning a Download ready to Resume.
 func (c *Client) NewDownload(url string) (*Download, error) {
 	budget := c.newBudget()
-	var res ResolveResponse
-	if err := c.postJSON(c.MetaURL, "/meta/resolve", ResolveRequest{UserID: c.UserID, URL: url}, &res, budget); err != nil {
+	res, err := c.resolve(url, budget)
+	if err != nil {
 		return nil, err
 	}
-	if res.FrontEnd == "" {
-		return nil, fmt.Errorf("storage: metadata server assigned no front-end")
-	}
 	var op FileOpResponse
-	err := c.postJSON(res.FrontEnd, "/op/retrieve", FileOpRequest{
+	err = c.postJSON(res.FrontEnd, "/op/retrieve", FileOpRequest{
 		UserID:   c.UserID,
 		DeviceID: c.DeviceID,
 		Device:   c.Device.String(),
 		FileMD5:  res.FileMD5,
 		Size:     res.Size,
+		Shard:    res.Shard,
 	}, &op, budget)
 	if err != nil {
 		return nil, err

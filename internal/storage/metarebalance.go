@@ -2,14 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"time"
-
-	"mcloud/internal/cluster"
 )
 
 // MetaRebalancer restores the metadata plane's placement invariant:
@@ -58,7 +57,7 @@ func (rb *MetaRebalancer) client() *http.Client {
 // Run executes the census and (unless Verify or DryRun) the moves.
 func (rb *MetaRebalancer) Run() (MetaRebalanceReport, error) {
 	var rep MetaRebalanceReport
-	smap, err := rb.fetchMap(rb.Seed)
+	smap, err := fetchShardMap(context.Background(), rb.client(), v1Dialect{}, rb.Seed)
 	if err != nil {
 		return rep, fmt.Errorf("fetching shard map from %s: %w", rb.Seed, err)
 	}
@@ -73,7 +72,7 @@ func (rb *MetaRebalancer) Run() (MetaRebalanceReport, error) {
 		if len(eps) == 0 && i == 0 {
 			eps = []string{rb.Seed}
 		}
-		primaries[i] = rb.discoverPrimary(eps)
+		primaries[i], _, _ = probePrimary(context.Background(), rb.client(), eps)
 		if primaries[i] == "" {
 			return rep, fmt.Errorf("shard %d: no endpoint answers as primary", i)
 		}
@@ -152,57 +151,6 @@ func (rb *MetaRebalancer) moveUser(primaries []string, user uint64, src, dst int
 		return fmt.Errorf("evicting from shard %d: %w", src, err)
 	}
 	return nil
-}
-
-// fetchMap reads the versioned shard map from one endpoint.
-func (rb *MetaRebalancer) fetchMap(ep string) (*cluster.MetaShardMap, error) {
-	req, err := http.NewRequest(http.MethodGet, ep+"/v1/meta/shards", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(APIHeader, APIV1)
-	resp, err := rb.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var m cluster.MetaShardMap
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// discoverPrimary probes a shard group's endpoints and returns the
-// current primary: the non-standby, non-fenced node with the highest
-// (epoch, last_seq). "" when none qualifies.
-func (rb *MetaRebalancer) discoverPrimary(eps []string) string {
-	best := ""
-	var bestEpoch, bestSeq uint64
-	for _, ep := range eps {
-		req, err := http.NewRequest(http.MethodGet, ep+"/v1/meta/wal/status", nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set(APIHeader, APIV1)
-		resp, err := rb.client().Do(req)
-		if err != nil {
-			continue
-		}
-		var st MetaWALStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil || st.Standby || st.Fenced {
-			continue
-		}
-		if best == "" || st.Epoch > bestEpoch || (st.Epoch == bestEpoch && st.LastSeq > bestSeq) {
-			best, bestEpoch, bestSeq = ep, st.Epoch, st.LastSeq
-		}
-	}
-	return best
 }
 
 // post is one JSON round trip against a metadata endpoint.

@@ -579,7 +579,9 @@ func (s *MetaStandby) rivalWon() (winner string, ok bool) {
 	s.mu.Unlock()
 	localEpoch, localSeq := s.meta.Epoch(), s.meta.LastSeq()
 	for _, r := range rivals {
-		st, err := fetchWALStatus(s.httpc, r)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		st, err := fetchWALStatus(ctx, s.httpc, r)
+		cancel()
 		if err != nil {
 			continue // unreachable rivals don't vote
 		}
@@ -591,30 +593,6 @@ func (s *MetaStandby) rivalWon() (winner string, ok bool) {
 		}
 	}
 	return "", false
-}
-
-// fetchWALStatus reads a metadata node's /v1/meta/wal/status.
-func fetchWALStatus(httpc *http.Client, base string) (MetaWALStatus, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/meta/wal/status", nil)
-	if err != nil {
-		return MetaWALStatus{}, err
-	}
-	req.Header.Set(APIHeader, APIV1)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	resp, err := httpc.Do(req.WithContext(ctx))
-	if err != nil {
-		return MetaWALStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return MetaWALStatus{}, decodeError(resp)
-	}
-	var st MetaWALStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return MetaWALStatus{}, err
-	}
-	return st, nil
 }
 
 // Close stops the pull loop and waits for it to exit (idempotent).

@@ -82,7 +82,8 @@ func TestClientWrongShardOneBounce(t *testing.T) {
 	}
 	pol := fastRetry
 	c := &Client{MetaURL: srv0.URL, UserID: user, Retry: &pol}
-	c.metaMap, c.metaTried = stale, true
+	r := c.metaRouter()
+	r.smap, r.mapTried = stale, true
 
 	res, err := c.StoreFile("bounce.bin", data)
 	if err != nil {
@@ -97,9 +98,9 @@ func TestClientWrongShardOneBounce(t *testing.T) {
 	if got := hits1.Load(); got != 1 {
 		t.Errorf("owner shard saw %d requests, want exactly 1", got)
 	}
-	c.metaMu.Lock()
-	refetch := !c.metaTried
-	c.metaMu.Unlock()
+	r.mu.Lock()
+	refetch := !r.mapTried
+	r.mu.Unlock()
 	if !refetch {
 		t.Error("redirect carried map version 2 > stale 1, but no shard-map refetch was scheduled")
 	}
@@ -292,5 +293,32 @@ func TestMetaReshardRoundTrip(t *testing.T) {
 	}
 	if rep.Misplaced != 0 || rep.Users != len(urls) {
 		t.Errorf("verify: users=%d misplaced=%d, want %d/0", rep.Users, rep.Misplaced, len(urls))
+	}
+}
+
+// TestMetaReshardIgnoresFailedStatusProbe: a node whose WAL-status
+// probe fails (here: a 503 error envelope) is not a primary candidate.
+// Decoding the envelope as a zero status would make it an epoch-0
+// primary tied with a fresh real one, and listed first it would win.
+func TestMetaReshardIgnoresFailedStatusProbe(t *testing.T) {
+	meta := NewMetadata("http://fe.invalid")
+	good := httptest.NewServer(meta.Handler())
+	defer good.Close()
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeAPIError(w, r, http.StatusServiceUnavailable, ErrUnavailable)
+	}))
+	defer bad.Close()
+	smap, err := cluster.NewMetaShardMap(1, [][]string{{bad.URL, good.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta.SetShard(0, smap)
+
+	rep, err := (&MetaRebalancer{Seed: good.URL, Verify: true}).Run()
+	if err != nil {
+		t.Fatalf("verify with a failing status probe listed first: %v", err)
+	}
+	if rep.Shards != 1 || rep.Misplaced != 0 {
+		t.Errorf("report %+v, want one clean shard", rep)
 	}
 }

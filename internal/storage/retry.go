@@ -96,17 +96,21 @@ func (p RetryPolicy) backoff(n int, u float64) time.Duration {
 	return time.Duration(d)
 }
 
-// retryBudget tracks the retries remaining for one file operation.
-// Concurrent chunk requests of one operation share it, so the counter
-// is atomic. It also carries the operation's root span (nil when the
-// client is untraced or the trace was not sampled) so every request
-// of the operation lands in one trace.
+// retryBudget tracks the retries remaining for one file operation
+// (a nil budget sets no cap). Concurrent chunk requests of one
+// operation share it, so the counter is atomic. It also carries the
+// operation's root span (nil when the client is untraced or the trace
+// was not sampled) so every request of the operation lands in one
+// trace.
 type retryBudget struct {
 	remaining atomic.Int64
 	span      *tracing.Span
 }
 
 func (b *retryBudget) take() bool {
+	if b == nil {
+		return true
+	}
 	for {
 		v := b.remaining.Load()
 		if v <= 0 {
@@ -274,35 +278,46 @@ var defaultHTTPClient = &http.Client{
 	},
 }
 
-// doRetry runs one logical request with retries: build must return a
-// fresh request per attempt (bodies are rebuilt, so PUT retries are
-// idempotent re-sends), handle consumes the response and reports
-// success or a classified failure. The call respects the per-attempt
-// deadline, exponential backoff with jitter, Retry-After hints, and
-// the operation's retry budget.
+// retrier is one caller's retry setup: the transport, the policy, the
+// jitter stream, the component its attempt spans are filed under, and
+// the counters it feeds (nil for none).
+type retrier struct {
+	httpc   *http.Client
+	pol     RetryPolicy
+	comp    string
+	jitter  func() float64
+	metrics *ClientMetrics
+}
+
+// run is the one retry loop: it runs one logical request, calling
+// build for a fresh request per attempt (bodies are rebuilt, so PUT
+// retries are idempotent re-sends) and handle with the attempt's
+// response or transport error, which returns the attempt's outcome.
+// It respects the per-attempt deadline, exponential backoff with
+// jitter, Retry-After hints, the operation's retry budget (nil: no
+// cap), and ctx, which ends the backoff early.
 //
-// Under tracing, each attempt is a span (child of parent, annotated
-// with the attempt number and the fault observed on failure) and the
-// trace headers ride the request, so the server-side handler span
-// joins to exactly the attempt that reached it.
-func (c *Client) doRetry(budget *retryBudget, parent *tracing.Span, build func() (*http.Request, error), handle func(*http.Response) error) error {
-	pol := c.policy()
+// Each attempt is a span (child of parent, annotated with the attempt
+// number and the fault observed on failure) whose trace headers ride
+// the request, so the server-side handler span joins to exactly the
+// attempt that reached it.
+func (rt retrier) run(ctx context.Context, budget *retryBudget, parent *tracing.Span, name string, build func() (*http.Request, error), handle func(att *tracing.Span, resp *http.Response, err error) error) error {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		req, err := build()
 		if err != nil {
 			return err
 		}
-		att := parent.StartChild(tracing.CompClient, tracing.SpanAttempt)
+		att := parent.StartChild(rt.comp, name)
 		att.AnnotateInt("attempt", int64(attempt))
 		att.Inject(req.Header)
-		ctx, cancel := context.WithTimeout(req.Context(), pol.RequestTimeout)
-		resp, err := c.httpClient().Do(req.WithContext(ctx))
+		actx, cancel := context.WithTimeout(req.Context(), rt.pol.RequestTimeout)
+		resp, err := rt.httpc.Do(req.WithContext(actx))
 		var retryAfter time.Duration
 		if err == nil {
 			retryAfter = parseRetryAfter(resp.Header)
-			err = handle(resp)
 		}
+		err = handle(att, resp, err)
 		cancel()
 		if err != nil {
 			att.Annotate("fault", err.Error())
@@ -310,7 +325,7 @@ func (c *Client) doRetry(budget *retryBudget, parent *tracing.Span, build func()
 		att.End()
 		if err == nil {
 			if attempt > 1 {
-				c.Metrics.recovered()
+				rt.metrics.recovered()
 			}
 			return nil
 		}
@@ -326,20 +341,50 @@ func (c *Client) doRetry(budget *retryBudget, parent *tracing.Span, build func()
 		if !retryable(err) {
 			return err
 		}
-		if attempt >= pol.MaxAttempts || !budget.take() {
-			c.Metrics.giveup()
+		if attempt >= rt.pol.MaxAttempts || !budget.take() {
+			rt.metrics.giveup()
 			return fmt.Errorf("storage: giving up after %d attempts: %w", attempt, lastErr)
 		}
-		c.Metrics.retry()
-		d := pol.backoff(attempt, c.jitterDraw())
+		rt.metrics.retry()
+		d := rt.pol.backoff(attempt, rt.jitter())
 		if retryAfter > d {
 			d = retryAfter
 		}
-		if d > pol.MaxDelay {
-			d = pol.MaxDelay
+		if d > rt.pol.MaxDelay {
+			d = rt.pol.MaxDelay
 		}
-		time.Sleep(d)
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return fmt.Errorf("storage: %w (last error: %v)", ctx.Err(), lastErr)
+		}
 	}
+}
+
+// retrier returns the client's retry setup.
+func (c *Client) retrier() retrier {
+	return retrier{
+		httpc:   c.httpClient(),
+		pol:     c.policy(),
+		comp:    tracing.CompClient,
+		jitter:  c.jitterDraw,
+		metrics: c.Metrics,
+	}
+}
+
+// doRetry runs one chunk or front-end request through the retry loop
+// under the file operation: handle sees only responses, since a
+// transport error needs no caller-side bookkeeping.
+func (c *Client) doRetry(budget *retryBudget, parent *tracing.Span, build func() (*http.Request, error), handle func(*http.Response) error) error {
+	return c.retrier().run(context.Background(), budget, parent, tracing.SpanAttempt, build,
+		func(_ *tracing.Span, resp *http.Response, err error) error {
+			if err != nil {
+				return err
+			}
+			return handle(resp)
+		})
 }
 
 // policy resolves the effective retry policy.
