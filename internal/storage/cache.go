@@ -39,6 +39,7 @@ type cacheShard struct {
 type cacheEntry struct {
 	sum  Sum
 	data []byte
+	rec  []byte // data's CRC-checked record (data is rec[recHeaderSize:]), or nil
 }
 
 // NewCachedStore wraps backing with an LRU cache of capacity bytes,
@@ -102,39 +103,50 @@ func (c *CachedStore) Get(sum Sum) ([]byte, error) {
 // map lookup), a miss forwards the context so the backing read's disk
 // time lands in the trace.
 func (c *CachedStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
+	e, err := c.get(ctx, sum)
+	return e.data, err
+}
+
+// get serves sum from the cache, or reads it from the backing store
+// and admits it. A miss also keeps the record the backing read checked,
+// when it had one (DiskStore), so hits can be served as stored frames.
+func (c *CachedStore) get(ctx context.Context, sum Sum) (cacheEntry, error) {
 	s := c.shard(sum)
 	s.mu.Lock()
 	if el, ok := s.items[sum]; ok {
 		s.ll.MoveToFront(el)
-		data := el.Value.(*cacheEntry).data
+		e := *el.Value.(*cacheEntry)
 		s.hits++
-		s.hitBytes += int64(len(data))
+		s.hitBytes += int64(len(e.data))
 		s.mu.Unlock()
-		return data, nil
+		return e, nil
 	}
 	s.mu.Unlock()
 
-	data, err := GetCtx(ctx, c.backing, sum)
+	var rec []byte
+	data, err := GetCtx(withRecordSink(ctx, &rec), c.backing, sum)
 	if err != nil {
-		return nil, err
+		return cacheEntry{}, err
 	}
+	e := cacheEntry{sum: sum, data: data, rec: boundRecord(rec, sum, data)}
 	s.mu.Lock()
 	s.misses++
 	s.missBytes += int64(len(data))
-	s.admit(sum, data)
+	s.admit(e)
 	s.mu.Unlock()
-	return data, nil
+	return e, nil
 }
 
 // admit inserts (caller holds s.mu), evicting LRU entries as needed.
-func (s *cacheShard) admit(sum Sum, data []byte) {
-	if int64(len(data)) > s.capacity {
+// Capacity counts payload bytes.
+func (s *cacheShard) admit(e cacheEntry) {
+	if int64(len(e.data)) > s.capacity {
 		return
 	}
-	if _, ok := s.items[sum]; ok {
+	if _, ok := s.items[e.sum]; ok {
 		return
 	}
-	for s.used+int64(len(data)) > s.capacity {
+	for s.used+int64(len(e.data)) > s.capacity {
 		back := s.ll.Back()
 		if back == nil {
 			break
@@ -145,21 +157,26 @@ func (s *cacheShard) admit(sum Sum, data []byte) {
 		s.used -= int64(len(ev.data))
 		s.evictions++
 	}
-	s.items[sum] = s.ll.PushFront(&cacheEntry{sum: sum, data: data})
-	s.used += int64(len(data))
+	s.items[e.sum] = s.ll.PushFront(&e)
+	s.used += int64(len(e.data))
 }
 
 // GetReaderCtx implements ReaderStore: hits stream the cached slice
 // without copying; misses read through GetCtx so the chunk is still
 // admitted, then serve the admitted copy from RAM. The cache tier
 // therefore trades the backing store's zero-copy disk path for
-// RAM-resident re-reads, which is the point of putting it there.
+// RAM-resident re-reads, which is the point of putting it there. An
+// entry that kept its record serves binary GETs the stored frame, so
+// its CRC is not computed again.
 func (c *CachedStore) GetReaderCtx(ctx context.Context, sum Sum) (*ChunkReader, error) {
-	data, err := c.GetCtx(ctx, sum)
+	e, err := c.get(ctx, sum)
 	if err != nil {
 		return nil, err
 	}
-	return NewBytesReader(data), nil
+	if e.rec != nil {
+		return newRecordReader(e.rec), nil
+	}
+	return NewBytesReader(e.data), nil
 }
 
 // Has implements ChunkStore.

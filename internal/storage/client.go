@@ -45,7 +45,8 @@ type Client struct {
 	// client with connection reuse and a cap timeout (never the
 	// timeoutless http.DefaultClient).
 	HTTP *http.Client
-	// Retry tunes resilience; nil means DefaultRetry.
+	// Retry tunes resilience; nil means DefaultRetry, and
+	// DefaultMetaRetry for metadata calls.
 	Retry *RetryPolicy
 	// RetrySeed seeds the deterministic backoff jitter stream.
 	RetrySeed uint64
@@ -421,7 +422,14 @@ func (c *Client) metaShardFor(user uint64) int {
 // postMetaJSON runs one metadata call pinned to shard through the
 // client's router, its attempts under the file operation's span.
 func (c *Client) postMetaJSON(shard int, path string, in, out interface{}, budget *retryBudget) error {
-	return c.metaRouter().call(context.Background(), c.retrier(), budget, budget.span, tracing.SpanAttempt, shard, path, in, out)
+	rt := c.retrier()
+	if c.Retry == nil {
+		// DefaultRetry gives up long before a standby's lease expires;
+		// metadata calls take RemoteMeta's persistence instead, still
+		// drawing on the file operation's budget.
+		rt.pol = DefaultMetaRetry
+	}
+	return c.metaRouter().call(context.Background(), rt, budget, budget.span, tracing.SpanAttempt, shard, path, in, out)
 }
 
 // setAPIVersion advertises v1 on requests to hosts not known legacy.
@@ -491,7 +499,10 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 		return StoreResult{}, fmt.Errorf("storage: metadata server assigned no front-end")
 	}
 
-	chunkSums := SplitSums(data)
+	chunkSums := []Sum{fileSum} // a one-chunk file's chunk digest is its file digest
+	if len(data) == 0 || len(data) > ChunkSize {
+		chunkSums = SplitSums(data)
+	}
 	chunkStrs := make([]string, len(chunkSums))
 	byDigest := make(map[string]int, len(chunkSums))
 	for i, s := range chunkSums {
@@ -859,9 +870,14 @@ func (c *Client) resolve(url string, budget *retryBudget) (ResolveResponse, erro
 
 // RetrieveFile downloads the file behind a service URL and returns its
 // contents: URL resolution at the metadata server, a file retrieval
-// operation request, then sequential chunk retrieval requests. Each
-// chunk is verified against its digest and re-fetched on corruption;
-// the assembled file is verified against the file hash.
+// operation request, then the chunk retrieval requests. Each byte is
+// MD5'd once: binary frames are checked for CRC, digest and length
+// only, and the assembled file is hashed against FileMD5, the one
+// check that binds the content to the file's name. After a mismatch
+// each chunk is hashed against its digest, and only those that fail
+// are re-fetched (verified per chunk) before the file is hashed again.
+// A one-chunk file fetched on the sequential path is hashed once, by
+// getChunk, and its digest must equal FileMD5.
 func (c *Client) RetrieveFile(url string) (out []byte, err error) {
 	budget := c.newBudget()
 	budget.span = c.Tracer.StartRoot(tracing.CompClient, tracing.SpanRetrieveFile)
@@ -895,9 +911,9 @@ func (c *Client) RetrieveFile(url string) (out []byte, err error) {
 		}
 	}
 
-	var buf []byte
-	if w := c.window(len(sums)); w <= 1 {
-		buf = make([]byte, 0, res.Size)
+	w := c.window(len(sums))
+	if w <= 1 {
+		buf := make([]byte, 0, res.Size)
 		for i, sum := range sums {
 			if i > 0 && c.InterChunkDelay != nil {
 				time.Sleep(c.InterChunkDelay())
@@ -908,50 +924,90 @@ func (c *Client) RetrieveFile(url string) (out []byte, err error) {
 			}
 			buf = append(buf, data...)
 		}
-	} else {
-		// Concurrent chunks assemble at fixed offsets: every chunk but
-		// the last is exactly ChunkSize by construction (SplitSums), so
-		// the layout is known up front from the metadata size.
-		n := int64(len(sums))
-		if res.Size <= (n-1)*ChunkSize || res.Size > n*ChunkSize {
-			return nil, fmt.Errorf("storage: metadata size %d inconsistent with %d chunks", res.Size, n)
+		var got Sum
+		if len(sums) == 1 {
+			got = sums[0] // getChunk has MD5'd the lone chunk against it
+		} else {
+			got = SumBytes(buf)
 		}
-		buf = make([]byte, res.Size)
-		rest := c.retrieveBin(res.FrontEnd, sums, buf, res.Size, budget, w)
-		if len(rest) > 0 {
-			if w > len(rest) {
-				w = len(rest)
-			}
-			err = runWindow(w, len(rest), func(k int) error {
-				i := rest[k]
-				lo := int64(i) * ChunkSize
-				hi := lo + ChunkSize
-				if hi > res.Size {
-					hi = res.Size
-				}
-				data, err := c.getChunk(res.FrontEnd, sums[i], budget, buf[lo:lo:hi])
-				if err != nil {
-					return fmt.Errorf("chunk %d: %w", i, err)
-				}
-				if int64(len(data)) != hi-lo {
-					return fmt.Errorf("chunk %d: storage: chunk length %d does not fit file layout", i, len(data))
-				}
-				return nil
-			})
+		if got.String() != res.FileMD5 {
+			return nil, errContentMismatch
+		}
+		return buf, nil
+	}
+
+	// Concurrent chunks assemble at fixed offsets: every chunk but the
+	// last is exactly ChunkSize by construction (SplitSums), so the
+	// layout is known up front from the metadata size.
+	n := int64(len(sums))
+	if res.Size <= (n-1)*ChunkSize || res.Size > n*ChunkSize {
+		return nil, fmt.Errorf("storage: metadata size %d inconsistent with %d chunks", res.Size, n)
+	}
+	buf := make([]byte, res.Size)
+	slot := func(i int) []byte {
+		lo := int64(i) * ChunkSize
+		hi := lo + ChunkSize
+		if hi > res.Size {
+			hi = res.Size
+		}
+		return buf[lo:hi]
+	}
+	// fetch gets the listed chunks one by one, each verified by
+	// getChunk, straight into their slots.
+	fetch := func(ids []int) error {
+		if len(ids) == 0 {
+			return nil
+		}
+		return runWindow(min(w, len(ids)), len(ids), func(k int) error {
+			i := ids[k]
+			dst := slot(i)
+			data, err := c.getChunk(res.FrontEnd, sums[i], budget, dst[:0])
 			if err != nil {
-				return nil, err
+				return fmt.Errorf("chunk %d: %w", i, err)
 			}
+			if len(data) != len(dst) {
+				return fmt.Errorf("chunk %d: storage: chunk length %d does not fit file layout", i, len(data))
+			}
+			return nil
+		})
+	}
+	if err := fetch(c.retrieveBin(res.FrontEnd, sums, buf, res.Size, budget, w)); err != nil {
+		return nil, err
+	}
+	if SumBytes(buf).String() == res.FileMD5 {
+		return buf, nil
+	}
+	// Binary frames carry no per-chunk MD5 check, so a payload that
+	// changed before its frame CRC was computed shows up only here.
+	// Find the chunks that do not match their digests and fetch them
+	// again; if every chunk matches, the chunk list itself does not
+	// belong to FileMD5.
+	var bad []int
+	for i, sum := range sums {
+		if SumBytes(slot(i)) != sum {
+			c.Metrics.refetch()
+			bad = append(bad, i)
 		}
 	}
-	if got := SumBytes(buf); got.String() != res.FileMD5 {
-		return nil, fmt.Errorf("storage: retrieved content hash mismatch")
+	if len(bad) == 0 {
+		return nil, errContentMismatch
+	}
+	if err := fetch(bad); err != nil {
+		return nil, err
+	}
+	if SumBytes(buf).String() != res.FileMD5 {
+		return nil, errContentMismatch
 	}
 	return buf, nil
 }
 
+// errContentMismatch reports a retrieved file whose bytes do not hash
+// to its FileMD5.
+var errContentMismatch = errors.New("storage: retrieved content hash mismatch")
+
 // retrieveBin fetches as many chunks as possible over the binary
-// dialect, writing verified payloads straight into their slots of the
-// assembled file, and returns the indices the per-chunk JSON path
+// dialect, writing CRC-checked payloads straight into their slots of
+// the assembled file, and returns the indices the per-chunk JSON path
 // must still fetch (everything, when no target speaks the dialect).
 // Chunks are grouped by their routed primary; hosts not yet seen
 // advertising mcsbin/1 keep their chunks on the fallback path. Batch
@@ -1016,8 +1072,10 @@ func (c *Client) retrieveBin(frontend string, sums []Sum, buf []byte, size int64
 }
 
 // getChunkBatch fetches one batch of chunks from host over the binary
-// dialect. Frame payloads land directly in their file slots — the CRC
-// and MD5 verification happen during that single copy off the socket.
+// dialect. Frame payloads land directly in their file slots, and the
+// frame CRC is checked during that single copy off the socket; each
+// frame's header digest and length must match the requested chunk.
+// No payload is MD5'd here: RetrieveFile hashes the assembled file.
 // It returns the indices still unfetched: the whole batch after an
 // exhausted retry, or the individual chunks the host answered
 // not-found frames for (the fallback path then walks the replicas).
@@ -1058,7 +1116,7 @@ func (c *Client) getChunkBatch(host string, ids []int, sums []Sum, buf []byte, s
 				if hi > size {
 					hi = size
 				}
-				f, err := readBinFrame(resp.Body, buf[lo:hi])
+				f, err := decodeBinFrame(resp.Body, buf[lo:hi], nil)
 				if err != nil {
 					c.Metrics.refetch()
 					return &corruptError{err: err}
@@ -1067,7 +1125,7 @@ func (c *Client) getChunkBatch(host string, ids []int, sums []Sum, buf []byte, s
 					missed = append(missed, i)
 					continue
 				}
-				if f.sum != sums[i] || f.got != sums[i] || int64(len(f.payload)) != hi-lo {
+				if f.sum != sums[i] || int64(len(f.payload)) != hi-lo {
 					c.Metrics.refetch()
 					return &corruptError{err: fmt.Errorf("mcsbin frame mismatch for chunk %d", i)}
 				}

@@ -316,7 +316,9 @@ func (ds *DiskStore) Get(sum Sum) ([]byte, error) {
 	return ds.GetCtx(context.Background(), sum)
 }
 
-// GetCtx implements CtxStore, recording the read as one span.
+// GetCtx implements CtxStore, recording the read as one span. The
+// payload is a slice of the CRC-checked record, which goes to the
+// context's record sink when it has one.
 func (ds *DiskStore) GetCtx(ctx context.Context, sum Sum) (_ []byte, err error) {
 	if sp := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskRead); sp != nil {
 		defer func() { sp.EndErr(err) }()
@@ -325,6 +327,7 @@ func (ds *DiskStore) GetCtx(ctx context.Context, sum Sum) (_ []byte, err error) 
 	if err != nil {
 		return nil, err
 	}
+	keepRecord(ctx, rec)
 	return rec[recHeaderSize:], nil
 }
 

@@ -67,7 +67,7 @@ type binFrame struct {
 	hdr      [recHeaderSize]byte // the frame header as received, CRC checked
 	sum      Sum
 	payload  []byte
-	got      Sum // MD5 of payload, computed during the streaming read
+	got      Sum // MD5 of payload, computed during the streaming read (readBinFrame only)
 	notFound bool
 }
 
@@ -76,9 +76,26 @@ type binFrame struct {
 // they arrive, no re-scan. Every malformed input fails closed with an
 // error wrapping a package sentinel, so the server side maps it onto
 // the typed envelope (truncation → bad_request, oversized →
-// too_large, checksum mismatch → bad_digest) and the client side
-// refuses the bytes.
+// too_large, checksum mismatch → bad_digest) and a node reading a
+// replica's frame refuses the bytes. This is the boundary check of a
+// node that keeps or forwards the chunk.
 func readBinFrame(r io.Reader, buf []byte) (binFrame, error) {
+	h := md5Pool.Get().(hash.Hash)
+	h.Reset()
+	defer md5Pool.Put(h)
+	f, err := decodeBinFrame(r, buf, h)
+	if err == nil && !f.notFound {
+		h.Sum(f.got[:0])
+	}
+	return f, err
+}
+
+// decodeBinFrame is the frame read loop behind readBinFrame. It folds
+// each payload read into h; with h nil it checks the frame CRC and
+// bounds only. A retrieving client reads frames that way, because it
+// hashes the assembled file once instead, which proves every byte
+// against FileMD5 (RetrieveFile).
+func decodeBinFrame(r io.Reader, buf []byte, h hash.Hash) (binFrame, error) {
 	var f binFrame
 	hdr := f.hdr[:]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -99,14 +116,13 @@ func readBinFrame(r io.Reader, buf []byte) (binFrame, error) {
 	}
 	payload := buf[:length]
 	crc := crc32.ChecksumIEEE(hdr[:20])
-	h := md5Pool.Get().(hash.Hash)
-	h.Reset()
-	defer md5Pool.Put(h)
 	for off := 0; off < int(length); {
 		n, rerr := r.Read(payload[off:])
 		if n > 0 {
 			crc = crc32.Update(crc, crc32.IEEETable, payload[off:off+n])
-			h.Write(payload[off : off+n])
+			if h != nil {
+				h.Write(payload[off : off+n])
+			}
 			off += n
 		}
 		if off >= int(length) {
@@ -119,7 +135,6 @@ func readBinFrame(r io.Reader, buf []byte) (binFrame, error) {
 	if crc != want {
 		return f, fmt.Errorf("%w: mcsbin frame checksum mismatch for %s", ErrBadDigest, f.sum)
 	}
-	h.Sum(f.got[:0])
 	f.payload = payload
 	return f, nil
 }

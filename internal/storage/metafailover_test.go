@@ -478,3 +478,47 @@ func TestPickFrontEndBreaker(t *testing.T) {
 		}
 	}
 }
+
+// TestClientMetaFailoverDefaultRetry: a Client left on the default
+// retry policy, configured with "primary,standby", keeps storing across
+// a primary kill. Its metadata calls must outlast the standby's ~1 s
+// lease and promotion, then land on the promoted standby.
+func TestClientMetaFailoverDefaultRetry(t *testing.T) {
+	primary := openDurableMeta(t, t.TempDir())
+	priSrv := httptest.NewServer(primary.Handler())
+	defer priSrv.Close()
+	standby := openDurableMeta(t, t.TempDir())
+	stbSrv := httptest.NewServer(standby.Handler())
+	defer stbSrv.Close()
+	puller := NewMetaStandby(standby, priSrv.URL, nil, 5*time.Millisecond)
+	puller.SetFailover(time.Second)
+	puller.Start()
+	defer puller.Close()
+
+	boot := priSrv.URL + "," + stbSrv.URL
+	feSrv := httptest.NewServer(NewFrontEnd(FrontEndConfig{Store: NewMemStore(), Meta: NewRemoteMeta(boot, nil)}).Handler())
+	defer feSrv.Close()
+	primary.AddFrontEnd(feSrv.URL)
+	standby.AddFrontEnd(feSrv.URL)
+
+	c := &Client{MetaURL: boot, UserID: 5}
+	if _, err := c.StoreFile("before.bin", chunkedData(t, 61, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "standby catch-up", func() bool { return standby.LastSeq() == primary.LastSeq() })
+
+	priSrv.CloseClientConnections()
+	priSrv.Close()
+	data := chunkedData(t, 62, ChunkSize+10)
+	res, err := c.StoreFile("after.bin", data)
+	if err != nil {
+		t.Fatalf("store across the failover: %v", err)
+	}
+	if n := puller.promotions.Load(); n != 1 {
+		t.Fatalf("standby promotions = %d, want 1", n)
+	}
+	got, err := c.RetrieveFile(res.URL)
+	if err != nil || string(got) != string(data) {
+		t.Fatalf("retrieve after the failover: %v", err)
+	}
+}

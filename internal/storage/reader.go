@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/crc32"
@@ -24,8 +25,10 @@ type ChunkReader struct {
 	size int64
 
 	// Memory-backed source: the payload slice itself. Content-addressed
-	// chunks are immutable, so sharing the store's slice is safe.
+	// chunks are immutable, so sharing the store's slice is safe. rec,
+	// when set, is the chunk's CRC-checked record and data its payload.
 	data []byte
+	rec  []byte
 
 	// Disk-backed source: the record window [recOff, recOff+24+size) of
 	// a segment file, pinned against compaction until release runs.
@@ -47,6 +50,12 @@ type ChunkReader struct {
 // chunks are).
 func NewBytesReader(data []byte) *ChunkReader {
 	return &ChunkReader{size: int64(len(data)), data: data}
+}
+
+// newRecordReader wraps an in-memory record (header and payload, CRC
+// checked when it was read), serving Frame from it.
+func newRecordReader(rec []byte) *ChunkReader {
+	return &ChunkReader{size: int64(len(rec) - recHeaderSize), data: rec[recHeaderSize:], rec: rec}
 }
 
 // newDiskReader wraps a pinned record region. storedCRC/hdrCRC come
@@ -104,10 +113,13 @@ func (cr *ChunkReader) ReadAt(p []byte, off int64) (int, error) {
 // Frame returns a reader over the chunk's complete mcsbin/1 frame
 // (sum|len|crc32|payload) when the store already holds the bytes in
 // that framing — a DiskStore record IS the frame, so a binary GET
-// response streams the raw record region with no re-encode and no CRC
-// recompute. Memory-backed readers return false and the caller
-// synthesizes the header.
+// response streams the raw record region (or a cached copy of it) with
+// no re-encode and no CRC recompute. Other memory-backed readers
+// return false and the caller synthesizes the header.
 func (cr *ChunkReader) Frame() (io.Reader, int64, bool) {
+	if cr.rec != nil {
+		return bytes.NewReader(cr.rec), int64(len(cr.rec)), true
+	}
 	if cr.ra == nil {
 		return nil, 0, false
 	}

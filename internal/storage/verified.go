@@ -36,6 +36,12 @@ func withVerifiedRecord(ctx context.Context, rec []byte) context.Context {
 // record — or nil, in which case the caller must check data itself.
 func verifiedRecord(ctx context.Context, sum Sum, data []byte) []byte {
 	rec, _ := ctx.Value(verifiedKey{}).([]byte)
+	return boundRecord(rec, sum, data)
+}
+
+// boundRecord returns rec if it is the record of exactly (sum, data):
+// same digest, and data the very payload slice of rec. Otherwise nil.
+func boundRecord(rec []byte, sum Sum, data []byte) []byte {
 	if len(rec) != recHeaderSize+len(data) || Sum(rec[:16]) != sum {
 		return nil
 	}
@@ -43,6 +49,30 @@ func verifiedRecord(ctx context.Context, sum Sum, data []byte) []byte {
 		return nil
 	}
 	return rec
+}
+
+// The read side has a counterpart. A store that reads a chunk as a
+// whole CRC-checked record (DiskStore) returns its payload as a slice
+// of that record, and a caller that wants the record too (CachedStore,
+// to serve hits as stored frames) passes a record sink down in the
+// context. Decorators forward GetCtx(ctx, sum) and so carry the sink;
+// the caller trusts what lands in it only through boundRecord.
+
+// recordSinkKey is the context key of a read's record sink.
+type recordSinkKey struct{}
+
+// withRecordSink returns ctx asking the store read below to leave in
+// *dst the record its returned payload is a slice of, if it has one.
+func withRecordSink(ctx context.Context, dst *[]byte) context.Context {
+	return context.WithValue(ctx, recordSinkKey{}, dst)
+}
+
+// keepRecord hands rec, a record whose CRC the read has just checked,
+// to ctx's record sink, if ctx has one.
+func keepRecord(ctx context.Context, rec []byte) {
+	if dst, ok := ctx.Value(recordSinkKey{}).(*[]byte); ok {
+		*dst = rec
+	}
 }
 
 // checkPut is the digest check every verifying store runs before a

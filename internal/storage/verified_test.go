@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mcloud/internal/cluster"
+	"mcloud/internal/metrics"
 	"mcloud/internal/trace"
 )
 
@@ -171,8 +174,8 @@ func TestVerifiedRecordBinding(t *testing.T) {
 }
 
 // forwardOnly is a store decorator that, like a tracing wrapper,
-// forwards nothing but PutCtx(ctx, sum, data); copying makes it pass a
-// copy of the payload instead.
+// forwards nothing but PutCtx(ctx, sum, data) and GetCtx(ctx, sum);
+// copying makes it pass a copy of the payload instead.
 type forwardOnly struct {
 	ChunkStore
 	copying bool
@@ -186,7 +189,11 @@ func (f forwardOnly) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 }
 
 func (f forwardOnly) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
-	return GetCtx(ctx, f.ChunkStore, sum)
+	data, err := GetCtx(ctx, f.ChunkStore, sum)
+	if f.copying && err == nil {
+		data = append([]byte(nil), data...)
+	}
+	return data, err
 }
 
 // TestVerifiedRecordThroughDecorators shows the record reaching the
@@ -438,6 +445,29 @@ func TestForgedFileMD5CaughtOnRetrieve(t *testing.T) {
 	}
 }
 
+// TestForgedFileMD5OneChunkCaught is the forged-FileMD5 case for a
+// one-chunk file, which RetrieveFile fetches on the sequential path and
+// does not hash again: the getChunk-verified chunk digest must still
+// equal FileMD5.
+func TestForgedFileMD5OneChunkCaught(t *testing.T) {
+	a, _, _, _, cleanup := newTestService(t)
+	defer cleanup()
+	x := chunkedData(t, 93, ChunkSize-777)
+	y := chunkedData(t, 94, len(x))
+	url := storeForged(t, a, "x.bin", x, SumBytes(y))
+
+	b := a.Clone()
+	b.UserID = 43
+	res, err := b.StoreFile("y.bin", y)
+	if err != nil || !res.Deduplicated || res.URL != url {
+		t.Fatalf("B's store: %+v %v, want a dedup onto %q", res, err, url)
+	}
+	got, err := b.RetrieveFile(res.URL)
+	if err == nil || !strings.Contains(err.Error(), "hash mismatch") || got != nil {
+		t.Fatalf("RetrieveFile of the forged file: %d bytes, err = %v; want the hash-mismatch error and no bytes", len(got), err)
+	}
+}
+
 // storeForged runs StoreFile's protocol for content, declaring claimed
 // as its FileMD5, and returns the committed URL.
 func storeForged(t *testing.T, c *Client, name string, content []byte, claimed Sum) string {
@@ -467,4 +497,160 @@ func storeForged(t *testing.T, c *Client, name string, content []byte, claimed S
 		t.Fatal(err)
 	}
 	return check.URL
+}
+
+// flipStore serves its target digest with one payload bit flipped, as
+// an in-memory reader, so the front-end seals a frame CRC over the
+// flipped bytes and only an MD5 can catch them. flips is the number of
+// reads still to corrupt.
+type flipStore struct {
+	ChunkStore
+	target Sum
+	flips  atomic.Int64
+}
+
+func (f *flipStore) GetReaderCtx(ctx context.Context, sum Sum) (*ChunkReader, error) {
+	data, err := GetCtx(ctx, f.ChunkStore, sum)
+	if err != nil || sum != f.target || f.flips.Add(-1) < 0 {
+		return NewBytesReader(data), err
+	}
+	bad := append([]byte(nil), data...)
+	bad[len(bad)/2] ^= 0x10
+	return NewBytesReader(bad), nil
+}
+
+// TestRetrieveFlippedChunk: a chunk whose payload changed before the
+// front-end framed it passes the frame CRC, so RetrieveFile must find
+// it by the file hash. A one-off flip costs one per-chunk re-fetch
+// (not a whole-batch retry) and the file comes back exact; a flip on
+// every read fails the retrieve with no bytes. A one-chunk file,
+// fetched and MD5-checked by getChunk, behaves the same.
+func TestRetrieveFlippedChunk(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		size, bad  int
+		binGets    int64 // bin GETs (one chunk each here) and JSON chunk GETs for a one-off flip
+		chunkGets  int64
+		persistent bool
+	}{
+		{name: "three chunks/once", size: 2*ChunkSize + 321, bad: 1, binGets: 3, chunkGets: 1},
+		{name: "three chunks/always", size: 2*ChunkSize + 321, bad: 1, persistent: true},
+		{name: "one chunk/once", size: ChunkSize - 5, chunkGets: 2},
+		{name: "one chunk/always", size: ChunkSize - 5, persistent: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := &flipStore{ChunkStore: NewMemStore()}
+			meta := NewMetadata()
+			var binGets, chunkGets atomic.Int64
+			fe := NewFrontEnd(FrontEndConfig{Store: fs, Meta: meta}).Handler()
+			feSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.URL.Path == "/v1/bin/get":
+					binGets.Add(1)
+				case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/chunk/"):
+					chunkGets.Add(1)
+				}
+				fe.ServeHTTP(w, r)
+			}))
+			defer feSrv.Close()
+			metaSrv := httptest.NewServer(meta.Handler())
+			defer metaSrv.Close()
+			meta.AddFrontEnd(feSrv.URL)
+			pol := fastRetry
+			c := &Client{MetaURL: metaSrv.URL, UserID: 8, Retry: &pol, Metrics: NewClientMetrics(metrics.NewRegistry())}
+
+			data := chunkedData(t, 97, tc.size)
+			res, err := c.StoreFile("f.bin", data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs.target = SplitSums(data)[tc.bad]
+			fs.flips.Store(1)
+			if tc.persistent {
+				fs.flips.Store(1 << 30)
+			}
+			got, err := c.RetrieveFile(res.URL)
+			if tc.persistent {
+				if err == nil || got != nil {
+					t.Fatalf("persistent flip: got %d bytes, err = %v; want an error and no bytes", len(got), err)
+				}
+				return
+			}
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("one-off flip: err = %v, bytes equal = %v", err, bytes.Equal(got, data))
+			}
+			if n := c.Metrics.Stats().Refetches; n != 1 {
+				t.Errorf("Refetches = %d, want 1", n)
+			}
+			if b, j := binGets.Load(), chunkGets.Load(); b != tc.binGets || j != tc.chunkGets {
+				t.Errorf("bin GETs %d, JSON chunk GETs %d; want %d and %d", b, j, tc.binGets, tc.chunkGets)
+			}
+		})
+	}
+}
+
+// TestCachedStoreServesStoredFrames: a chunk the cache admitted from a
+// DiskStore read keeps the record that read checked, and every read
+// from the cache offers it as the frame, byte for byte the segment's
+// record, so a bin GET hit needs no CRC pass. The record reaches the
+// cache through a decorator that forwards GetCtx; a backing that holds
+// no record, or hands back a copy, leaves the reader without a frame.
+func TestCachedStoreServesStoredFrames(t *testing.T) {
+	data := testChunk(87, 1)
+	sum := SumBytes(data)
+	ds, _ := newDiskStore(t, DiskStoreOptions{NoSync: true})
+	mem := NewMemStore()
+	for _, s := range []ChunkStore{ds, mem} {
+		if err := s.Put(sum, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ds.readRecord(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		backing ChunkStore
+		framed  bool
+	}{
+		{"disk", ds, true},
+		{"forwarding decorator", forwardOnly{ChunkStore: ds}, true},
+		{"copying decorator", forwardOnly{ChunkStore: ds, copying: true}, false},
+		{"memory", mem, false},
+	} {
+		cs := NewCachedStore(tc.backing, 1<<20)
+		for _, pass := range []string{"miss", "hit"} {
+			rd, err := cs.GetReaderCtx(context.Background(), sum)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, pass, err)
+			}
+			if b, _ := rd.Bytes(); !bytes.Equal(b, data) {
+				t.Errorf("%s %s: payload differs", tc.name, pass)
+			}
+			fr, n, ok := rd.Frame()
+			if ok != tc.framed {
+				t.Fatalf("%s %s: Frame ok = %v, want %v", tc.name, pass, ok, tc.framed)
+			}
+			if ok {
+				got := make([]byte, n)
+				if _, err := io.ReadFull(fr, got); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s %s: frame is not the stored record (err %v)", tc.name, pass, err)
+				}
+			}
+			rd.Close()
+		}
+		if st := cs.CacheStats(); st.Hits != 1 || st.Misses != 1 || st.Used != int64(len(data)) {
+			t.Errorf("%s: cache stats %+v, want 1 hit, 1 miss, %d bytes used", tc.name, st, len(data))
+		}
+	}
+
+	// A bin GET hit through the front-end is the stored record.
+	fe := NewFrontEnd(FrontEndConfig{Store: NewCachedStore(ds, 1<<20), Meta: NewMetadata()}).Handler()
+	for _, pass := range []string{"miss", "hit"} {
+		rec := serveChunkReq(fe, http.MethodPost, "/v1/bin/get", encodeBinGet([]Sum{sum}), false)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("bin GET %s: status %d, body is the stored record = %v", pass, rec.Code, bytes.Equal(rec.Body.Bytes(), want))
+		}
+	}
 }
